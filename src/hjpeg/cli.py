@@ -5,7 +5,6 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import codec, container, entropy, metrics
@@ -147,14 +146,9 @@ def bench_image(name: str, img: Image, group_size: int,
 
 def cmd_bench(args) -> int:
     corpus = _load_corpus(args.corpus)
-    with ThreadPoolExecutor(max_workers=max(args.jobs, 1)) as pool:
-        futures = [
-            pool.submit(bench_image, name, img, args.group_size)
-            for name, img in corpus
-        ]
-        results = [f.result() for f in futures]  # deterministic corpus order
     lines = [CompressionReport.CSV_HEADER]
-    for reports in results:
+    for name, img in corpus:
+        reports = bench_image(name, img, args.group_size)
         scalar_cr = {r.dc_diff: r.payload_cr for r in reports if r.mode == "scalar"}
         for r in reports:
             imp = None
@@ -193,7 +187,6 @@ def build_parser() -> _Parser:
     p.add_argument("--corpus", help="directory of .pgm images (default: synthetic)")
     p.add_argument("--out", help="CSV output path")
     p.add_argument("--group-size", type=int, default=4)
-    p.add_argument("--jobs", type=int, default=1)
     p.set_defaults(func=cmd_bench)
     return parser
 

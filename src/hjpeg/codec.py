@@ -88,6 +88,12 @@ def compress(img: Image, cfg: CodecConfig | None = None) -> CompressedFile:
 
 def decompress(file: CompressedFile) -> Image:
     file.validate()
+    n_blocks = (file.padded_width // 8) * (file.padded_height // 8)
+    n_coeffs = file.symbol_count * file.group_size - file.pad_count
+    if n_coeffs != n_blocks * 64:
+        raise container.InvariantError(
+            f"header declares {n_coeffs} coefficients, expected {n_blocks * 64}"
+        )
     symbols = entropy.decode(
         file.payload, file.codebook, file.symbol_count, file.payload_bit_length
     )
@@ -95,12 +101,7 @@ def decompress(file: CompressedFile) -> Image:
         scalars = entropy.expand_symbols(symbols, file.group_size, file.pad_count)
     else:
         scalars = symbols
-    n_blocks = (file.padded_width // 8) * (file.padded_height // 8)
     seq = np.asarray(scalars, dtype=np.int64)
-    if seq.size != n_blocks * 64:
-        raise container.InvariantError(
-            f"decoded {seq.size} coefficients, expected {n_blocks * 64}"
-        )
     if file.dc_diff:
         seq = quantize.dc_differential_decode(seq)
     levels = quantize.inverse_zigzag(seq.reshape(n_blocks, 64))

@@ -1,19 +1,7 @@
 """Compressed-file container: header, quantization table, codebook, payload.
 
-Layout (all multi-byte fields big-endian):
-
-    offset  size  field
-    0       4     magic "HJPG"
-    4       1     version (1)
-    5       1     flags (bit 0: symbol-reduced entropy, bit 1: DC differential)
-    6       1     group size g (1 in scalar mode)
-    7       2     original width        9   2  original height
-    11      2     padded width          13  2  padded height
-    15      1     pad count             16  4  coded symbol count
-    20      64    quantization table, row-major bytes
-    84      var   codebook (see entropy.serialize_codebook)
-    ...     4     payload bit length
-    ...     var   payload, ceil(bits / 8) bytes, final byte zero-padded
+The byte layout and the checks a reader must make are specified in
+docs/format.md.
 """
 
 from __future__ import annotations
@@ -81,12 +69,13 @@ class CompressedFile:
         )
 
     def validate(self):
-        if self.padded_width % 8 or self.padded_height % 8:
-            raise InvariantError("padded dimensions must be multiples of 8")
-        if self.padded_width < self.orig_width or self.padded_height < self.orig_height:
-            raise InvariantError("padded dimensions smaller than original")
         if not 1 <= self.orig_width <= 0xFFFF or not 1 <= self.orig_height <= 0xFFFF:
             raise InvariantError("original dimensions out of range")
+        if (self.padded_width != (self.orig_width + 7) // 8 * 8
+                or self.padded_height != (self.orig_height + 7) // 8 * 8):
+            raise InvariantError(
+                "padded dimensions must round the original up to a multiple of 8"
+            )
         if self.group_size < 1:
             raise InvariantError("group size must be >= 1")
         if not 0 <= self.pad_count < self.group_size:
@@ -95,7 +84,12 @@ class CompressedFile:
             raise InvariantError("codebook group size disagrees with header")
         if len(self.payload) != (self.payload_bit_length + 7) // 8:
             raise InvariantError("payload byte length disagrees with bit length")
-        validate_quant_table(self.quant_table)
+        if self.symbol_count > self.payload_bit_length:
+            raise InvariantError("more symbols than payload bits")
+        try:
+            validate_quant_table(self.quant_table)
+        except ValueError as exc:
+            raise ContainerError(str(exc)) from None
 
 
 def serialize(file: CompressedFile) -> bytes:

@@ -13,8 +13,6 @@ from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .bitstream import BitExhaustionError, BitReader, BitWriter
-
 Scalar = int
 Composite = tuple[int, ...]
 
@@ -27,6 +25,10 @@ class EntropyError(ValueError):
 
 class UnknownSymbolError(EntropyError):
     """Symbol to encode is absent from the codebook."""
+
+
+class BitExhaustionError(EntropyError):
+    """Payload ran out of bits mid-code."""
 
 
 class DanglingBitsError(EntropyError):
@@ -105,12 +107,25 @@ class CodeBook:
     """
 
     lengths: dict = field(repr=False)
-    codes: dict = field(repr=False)
     group_size: int = 1
 
     @cached_property
     def canonical_symbols(self) -> list:
         return sorted(self.lengths, key=lambda s: (self.lengths[s], s))
+
+    @cached_property
+    def codes(self) -> dict:
+        """Symbol -> canonical code as a '0'/'1' string, MSB first."""
+        codes = {}
+        code = 0
+        prev_len = None
+        for sym in self.canonical_symbols:
+            length = self.lengths[sym]
+            if prev_len is not None:
+                code = (code + 1) << (length - prev_len)
+            codes[sym] = format(code, f"0{length}b")
+            prev_len = length
+        return codes
 
     @cached_property
     def kraft_sum(self) -> float:
@@ -119,22 +134,9 @@ class CodeBook:
     @cached_property
     def _decode_tables(self) -> list[tuple[int, dict]]:
         by_len: dict[int, dict] = {}
-        for sym, length in self.lengths.items():
-            by_len.setdefault(length, {})[self.codes[sym]] = sym
+        for sym, code in self.codes.items():
+            by_len.setdefault(len(code), {})[code] = sym
         return sorted(by_len.items())
-
-
-def _canonical_codes(lengths: dict) -> dict:
-    codes = {}
-    code = 0
-    prev_len = None
-    for sym in sorted(lengths, key=lambda s: (lengths[s], s)):
-        length = lengths[sym]
-        if prev_len is not None:
-            code = (code + 1) << (length - prev_len)
-        codes[sym] = code
-        prev_len = length
-    return codes
 
 
 def huffman_code_lengths(freqs: FrequencyTable) -> dict:
@@ -162,20 +164,19 @@ def huffman_code_lengths(freqs: FrequencyTable) -> dict:
 
 def build_codebook(freqs: FrequencyTable, group_size: int = 1) -> CodeBook:
     lengths = huffman_code_lengths(freqs)
-    return CodeBook(lengths, _canonical_codes(lengths), group_size)
+    return CodeBook(lengths, group_size)
 
 
 def encode(seq, book: CodeBook) -> tuple[bytes, int]:
     """Concatenate MSB-first codes; returns (payload bytes, exact bit length)."""
-    writer = BitWriter()
     codes = book.codes
-    lengths = book.lengths
     try:
-        for sym in seq:
-            writer.write(codes[sym], lengths[sym])
+        bits = "".join([codes[sym] for sym in seq])
     except KeyError as exc:
         raise UnknownSymbolError(f"symbol {exc.args[0]!r} not in codebook") from None
-    return writer.getvalue(), writer.bit_length
+    pad = -len(bits) % 8
+    payload = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+    return payload, len(bits)
 
 
 def decode(data: bytes, book: CodeBook, symbol_count: int,
@@ -186,29 +187,27 @@ def decode(data: bytes, book: CodeBook, symbol_count: int,
     leftover coded bits raise DanglingBitsError and codes running past it
     raise BitExhaustionError. Byte-boundary padding past bit_length is ignored.
     """
-    reader = BitReader(data)
+    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
     tables = book._decode_tables
     out = []
+    pos = 0
     for _ in range(symbol_count):
         for length, table in tables:
-            try:
-                candidate = reader.peek(length)
-            except BitExhaustionError:
-                continue
-            sym = table.get(candidate)
+            # a slice cut short by the end of the data matches no code
+            sym = table.get(bits[pos : pos + length])
             if sym is not None:
-                reader.skip(length)
+                pos += length
                 out.append(sym)
                 break
         else:
             raise BitExhaustionError("no code matches the remaining bits")
-        if bit_length is not None and reader.bits_consumed > bit_length:
+        if bit_length is not None and pos > bit_length:
             raise BitExhaustionError(
                 f"code ran past the declared payload bit length {bit_length}"
             )
-    if bit_length is not None and reader.bits_consumed != bit_length:
+    if bit_length is not None and pos != bit_length:
         raise DanglingBitsError(
-            f"decoded {reader.bits_consumed} bits but payload declares {bit_length}"
+            f"decoded {pos} bits but payload declares {bit_length}"
         )
     return out
 
@@ -264,9 +263,9 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
         order.append(sym)
     if order != sorted(order, key=lambda s: (lengths[s], s)):
         raise CodebookError("codebook entries not in canonical order")
-    kraft = sum(2.0 ** -l for l in lengths.values())
-    if n >= 2 and abs(kraft - 1.0) > 1e-12:
-        raise KraftViolationError(f"Kraft sum {kraft} != 1")
+    kraft = sum(1 << (MAX_CODE_LENGTH - l) for l in lengths.values())
+    if n >= 2 and kraft != 1 << MAX_CODE_LENGTH:
+        raise KraftViolationError(f"Kraft sum {kraft} / 2**64 != 1")
     if n == 1 and next(iter(lengths.values())) != 1:
         raise KraftViolationError("single-symbol alphabet must use length 1")
-    return CodeBook(lengths, _canonical_codes(lengths), g), end
+    return CodeBook(lengths, g), end

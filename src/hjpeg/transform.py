@@ -52,23 +52,3 @@ def idct(coeffs: np.ndarray) -> np.ndarray:
     f = np.asarray(coeffs, dtype=np.float64)
     return _C.T @ f @ _C
 
-
-def fdct_reference(block: np.ndarray) -> np.ndarray:
-    """Direct quadruple-loop evaluation of the forward transform.
-
-    Slow by construction; exists as an independent check on fdct.
-    """
-    b = np.asarray(block, dtype=np.float64)
-    out = np.zeros((N, N))
-    for i in range(N):
-        for j in range(N):
-            acc = 0.0
-            for m in range(N):
-                for n in range(N):
-                    acc += (
-                        b[m, n]
-                        * np.cos(np.pi * (2 * m + 1) * i / (2 * N))
-                        * np.cos(np.pi * (2 * n + 1) * j / (2 * N))
-                    )
-            out[i, j] = alpha(i) * alpha(j) * acc
-    return out

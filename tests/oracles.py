@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def round_half_away(x: float) -> int:
     """Round to nearest integer, ties away from zero."""
@@ -66,3 +68,26 @@ def is_prefix_free(codes: dict) -> bool:
 
 def kraft_sum_exact(lengths) -> Fraction:
     return sum(Fraction(1, 2**l) for l in lengths)
+
+
+def fdct_reference(block) -> np.ndarray:
+    """Direct quadruple-loop evaluation of the forward 8x8 DCT.
+
+    Slow by construction; exists as an independent check on transform.fdct.
+    """
+    N = 8
+    b = np.asarray(block, dtype=np.float64)
+    alpha = [math.sqrt(1.0 / N)] + [math.sqrt(2.0 / N)] * (N - 1)
+    out = np.zeros((N, N))
+    for i in range(N):
+        for j in range(N):
+            acc = 0.0
+            for m in range(N):
+                for n in range(N):
+                    acc += (
+                        b[m, n]
+                        * np.cos(np.pi * (2 * m + 1) * i / (2 * N))
+                        * np.cos(np.pi * (2 * n + 1) * j / (2 * N))
+                    )
+            out[i, j] = alpha[i] * alpha[j] * acc
+    return out

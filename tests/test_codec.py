@@ -126,6 +126,19 @@ class TestDecompress:
         restored = codec.decompress_bytes(data)
         assert (restored.width, restored.height) == (24, 16)
 
+    @pytest.mark.parametrize("mode,g", [("scalar", 1), ("reduced", 4)])
+    def test_coefficient_count_checked_before_decode(self, mode, g, monkeypatch):
+        img = generate_test_image("noise", 16, 16, 8)
+        file = codec.compress(img, CodecConfig(entropy_mode=mode, group_size=g))
+        file.symbol_count -= 1  # still within the payload's bit length
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("payload decoded under an inconsistent header")
+
+        monkeypatch.setattr(entropy, "decode", no_decode)
+        with pytest.raises(container.InvariantError):
+            codec.decompress(file)
+
     def test_symbol_count_mismatch_detected(self):
         img = generate_test_image("noise", 16, 16, 8)
         file = codec.compress(img, CodecConfig(entropy_mode="scalar"))

@@ -5,6 +5,7 @@ from hjpeg import container, entropy
 from hjpeg.container import (
     BadMagicError,
     CompressedFile,
+    ContainerError,
     InvariantError,
     TruncatedFileError,
     UnsupportedVersionError,
@@ -72,7 +73,7 @@ class TestRoundTrip:
         f = random_file(np.random.default_rng(10))
         f.group_size = 4
         f.pad_count = 0
-        f.codebook = entropy.CodeBook({(0, 0, 0, 0): 1}, {(0, 0, 0, 0): 0}, 4)
+        f.codebook = entropy.CodeBook({(0, 0, 0, 0): 1}, 4)
         f.dc_diff = True
         f.symbol_count = 3
         f.payload = b"\x00"
@@ -120,3 +121,23 @@ class TestCorruption:
         f.payload_bit_length = len(f.payload) * 8 + 9
         with pytest.raises(InvariantError):
             serialize(f)
+
+    def test_zero_quant_step_is_malformed(self, sample):
+        data = bytearray(sample)
+        data[20] = 0  # first quantization table entry
+        with pytest.raises(ContainerError) as info:
+            deserialize(bytes(data))
+        assert not isinstance(info.value, InvariantError)
+
+    def test_padding_beyond_ceil8_rejected(self, sample):
+        data = bytearray(sample)
+        data[11:13] = (65528).to_bytes(2, "big")  # padded width
+        with pytest.raises(InvariantError):
+            deserialize(bytes(data))
+
+    def test_more_symbols_than_payload_bits_rejected(self, sample):
+        bits = deserialize(sample).payload_bit_length
+        data = bytearray(sample)
+        data[16:20] = (bits + 1).to_bytes(4, "big")  # symbol count
+        with pytest.raises(InvariantError):
+            deserialize(bytes(data))

@@ -1,10 +1,11 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hjpeg import entropy
-from hjpeg.bitstream import BitExhaustionError
 from oracles import is_prefix_free, kraft_sum_exact, min_prefix_code_cost
 
 # The eight-symbol worked example: grouping by 4 leaves two tuples.
@@ -87,7 +88,7 @@ class TestBuildCodebook:
             entropy.build_frequency_table([(A, B, C, D), (E, F, G, H)])
         )
         assert set(book.lengths.values()) == {1}
-        assert sorted(book.codes.values()) == [0, 1]
+        assert sorted(book.codes.values()) == ["0", "1"]
 
     def test_skewed_counts(self):
         freqs = entropy.FrequencyTable({"a": 8, "b": 4, "c": 2, "d": 1, "e": 1}, 16)
@@ -99,7 +100,7 @@ class TestBuildCodebook:
 
     def test_single_symbol(self):
         book = entropy.build_codebook(entropy.build_frequency_table([9, 9, 9]))
-        assert book.lengths == {9: 1} and book.codes == {9: 0}
+        assert book.lengths == {9: 1} and book.codes == {9: "0"}
 
     def test_equiprobable_eight_is_uniform(self):
         book = entropy.build_codebook(entropy.build_frequency_table(list(range(8))))
@@ -135,7 +136,7 @@ class TestBuildCodebook:
         book = entropy.build_codebook(freqs)
         assert kraft_sum_exact(book.lengths.values()) == 1
         assert is_prefix_free(
-            {s: (book.codes[s], book.lengths[s]) for s in book.lengths}
+            {s: (int(book.codes[s], 2), book.lengths[s]) for s in book.lengths}
         )
 
 
@@ -153,9 +154,11 @@ class TestEncodeDecode:
         payload, nbits = entropy.encode(["x", "x", "x"], book)
         assert nbits == 3 and bits_of(payload, nbits) == "000"
         assert entropy.decode(payload, book, 3, nbits) == ["x"] * 3
+        with pytest.raises(entropy.BitExhaustionError):
+            entropy.decode(b"", book, 1)
 
     def test_manual_book(self):
-        book = entropy.CodeBook({"a": 1, "b": 2}, {"a": 0, "b": 2}, 1)
+        book = entropy.CodeBook({"a": 1, "b": 2}, 1)
         payload, nbits = entropy.encode(["a", "b", "a"], book)
         assert nbits == 4 and bits_of(payload, nbits) == "0100"
         assert entropy.decode(payload, book, 3, nbits) == ["a", "b", "a"]
@@ -169,8 +172,9 @@ class TestEncodeDecode:
         symbols = list(range(16))
         book = entropy.build_codebook(entropy.build_frequency_table(symbols))
         payload, nbits = entropy.encode(symbols, book)
-        with pytest.raises(BitExhaustionError):
+        with pytest.raises(entropy.BitExhaustionError):
             entropy.decode(payload, book, 17)
+        assert issubclass(entropy.BitExhaustionError, entropy.EntropyError)
 
     def test_dangling_bits(self):
         symbols = list(range(16))
@@ -251,3 +255,11 @@ class TestCodebookSerialization:
         data[-1] = 5  # lengthen the last code; Kraft sum drops below 1
         with pytest.raises(entropy.KraftViolationError):
             entropy.deserialize_codebook(bytes(data), 1)
+
+    def test_kraft_sum_checked_exactly(self):
+        # lengths 1..64 sum to 1 - 2**-64, which rounds to 1.0 as a float
+        data = struct.pack(">I", 64) + b"".join(
+            struct.pack(">hB", sym, sym) for sym in range(1, 65)
+        )
+        with pytest.raises(entropy.KraftViolationError):
+            entropy.deserialize_codebook(data, 1)

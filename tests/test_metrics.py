@@ -33,21 +33,21 @@ class TestAverageCodeLength:
     def test_skewed_eight_symbol_code(self):
         # unary-style code over eight equiprobable symbols
         lengths = {s: min(s + 1, 7) for s in range(8)}
-        book = entropy.CodeBook(lengths, entropy._canonical_codes(lengths), 1)
+        book = entropy.CodeBook(lengths, 1)
         freqs = table({s: 1 for s in range(8)})
         assert metrics.average_code_length(book, freqs) == pytest.approx(4.375)
 
     def test_two_halves(self):
         lengths = {"x": 1, "y": 1}
-        book = entropy.CodeBook(lengths, {"x": 0, "y": 1}, 1)
+        book = entropy.CodeBook(lengths, 1)
         assert metrics.average_code_length(book, table({"x": 3, "y": 3})) == 1.0
 
     def test_single_symbol(self):
-        book = entropy.CodeBook({"x": 1}, {"x": 0}, 1)
+        book = entropy.CodeBook({"x": 1}, 1)
         assert metrics.average_code_length(book, table({"x": 4})) == 1.0
 
     def test_uncovered_symbol(self):
-        book = entropy.CodeBook({"x": 1}, {"x": 0}, 1)
+        book = entropy.CodeBook({"x": 1}, 1)
         with pytest.raises(entropy.UnknownSymbolError):
             metrics.average_code_length(book, table({"y": 1}))
 
