@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import codec, container, entropy, metrics
@@ -54,20 +55,17 @@ def _config(mode: str, group_size: int, dc_diff: bool) -> CodecConfig:
 def _report(name: str, img: Image, cfg: CodecConfig,
             file: container.CompressedFile, data: bytes,
             restored: Image) -> CompressionReport:
-    seq = codec.image_to_symbols(img, cfg).tolist()
-    if cfg.entropy_mode == "reduced":
-        symbols, _ = entropy.reduce_symbols(seq, cfg.group_size)
-    else:
-        symbols = seq
-    freqs = entropy.build_frequency_table(symbols)
+    counts, _, _ = entropy.group_symbols(
+        codec.image_to_symbols(img, cfg), cfg.group_size
+    )
     original_bits = img.width * img.height * 8
     return CompressionReport(
         image=name,
         mode=cfg.entropy_mode,
         group_size=cfg.group_size,
         dc_diff=cfg.dc_diff,
-        entropy_bits=metrics.empirical_entropy(freqs),
-        l_avg=metrics.average_code_length(file.codebook, freqs),
+        entropy_bits=metrics.empirical_entropy(counts),
+        l_avg=metrics.average_code_length(file.codebook, counts),
         payload_cr=metrics.compression_ratio(original_bits, file.payload_bit_length),
         file_cr=metrics.compression_ratio(original_bits, len(data) * 8),
         psnr_db=metrics.psnr(img, restored),
@@ -96,7 +94,7 @@ def cmd_decompress(args) -> int:
 def cmd_inspect(args) -> int:
     file = container.deserialize(Path(args.input).read_bytes())
     book = file.codebook
-    print(f"mode: {'reduced' if file.reduced else 'scalar'}")
+    print(f"mode: {'reduced' if file.group_size > 1 else 'scalar'}")
     print(f"group_size: {file.group_size}")
     print(f"dc_diff: {int(file.dc_diff)}")
     print(f"original: {file.orig_width}x{file.orig_height}")
@@ -105,12 +103,10 @@ def cmd_inspect(args) -> int:
     print(f"symbol_count: {file.symbol_count}")
     print(f"payload_bits: {file.payload_bit_length}")
     print(f"codebook_symbols: {len(book.lengths)}")
-    hist: dict[int, int] = {}
-    for length in book.lengths.values():
-        hist[length] = hist.get(length, 0) + 1
+    hist = Counter(book.lengths.values())
     for length in sorted(hist):
         print(f"code_length[{length}]: {hist[length]}")
-    print(f"kraft_sum: {book.kraft_sum:g}")
+    print(f"kraft_sum: {float(book.kraft_sum):g}")
     return EXIT_OK
 
 

@@ -60,25 +60,21 @@ def image_to_symbols(img: Image, cfg: CodecConfig) -> np.ndarray:
 
 def compress(img: Image, cfg: CodecConfig | None = None) -> CompressedFile:
     cfg = cfg or CodecConfig()
-    padded = pad_to_blocks(img)
-    seq = image_to_symbols(img, cfg)
-    scalars = seq.tolist()
-    if cfg.entropy_mode == "reduced":
-        symbols, pad_count = entropy.reduce_symbols(scalars, cfg.group_size)
-    else:
-        symbols, pad_count = scalars, 0
-    freqs = entropy.build_frequency_table(symbols)
-    book = entropy.build_codebook(freqs, cfg.group_size)
-    payload, bit_length = entropy.encode(symbols, book)
+    padded_width, padded_height = container.padded_size(img.width, img.height)
+    counts, ids, pad_count = entropy.group_symbols(
+        image_to_symbols(img, cfg), cfg.group_size
+    )
+    book = entropy.build_codebook(counts, cfg.group_size)
+    payload, bit_length = entropy.encode(ids, book)
     return CompressedFile(
         group_size=cfg.group_size,
         dc_diff=cfg.dc_diff,
         orig_width=img.width,
         orig_height=img.height,
-        padded_width=padded.width,
-        padded_height=padded.height,
+        padded_width=padded_width,
+        padded_height=padded_height,
         pad_count=pad_count,
-        symbol_count=len(symbols),
+        symbol_count=len(ids),
         quant_table=cfg.quant_table,
         codebook=book,
         payload=payload,
@@ -94,14 +90,10 @@ def decompress(file: CompressedFile) -> Image:
         raise container.InvariantError(
             f"header declares {n_coeffs} coefficients, expected {n_blocks * 64}"
         )
-    symbols = entropy.decode(
+    ids = entropy.decode(
         file.payload, file.codebook, file.symbol_count, file.payload_bit_length
     )
-    if file.reduced:
-        scalars = entropy.expand_symbols(symbols, file.group_size, file.pad_count)
-    else:
-        scalars = symbols
-    seq = np.asarray(scalars, dtype=np.int64)
+    seq = file.codebook.rows[ids].reshape(-1)[:n_coeffs]
     if file.dc_diff:
         seq = quantize.dc_differential_decode(seq)
     levels = quantize.inverse_zigzag(seq.reshape(n_blocks, 64))

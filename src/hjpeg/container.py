@@ -19,6 +19,7 @@ MAGIC = b"HJPG"
 VERSION = 1
 FLAG_REDUCED = 0x01
 FLAG_DC_DIFF = 0x02
+MAX_DIMENSION = 0xFFF8  # the largest side whose padded size fits a u16 field
 
 _HEADER = struct.Struct(">4sBBBHHHHBI")
 
@@ -43,6 +44,23 @@ class InvariantError(ContainerError):
     pass
 
 
+class ImageTooLargeError(ContainerError):
+    """Image side whose padded size does not fit the header's u16 field."""
+
+
+class TrailingDataError(ContainerError):
+    """Bytes follow the payload."""
+
+
+def padded_size(width: int, height: int) -> tuple[int, int]:
+    """Both sides rounded up to a multiple of 8, as the header stores them."""
+    if width > MAX_DIMENSION or height > MAX_DIMENSION:
+        raise ImageTooLargeError(
+            f"{width}x{height} image: sides are limited to {MAX_DIMENSION} pixels"
+        )
+    return (width + 7) // 8 * 8, (height + 7) // 8 * 8
+
+
 @dataclass
 class CompressedFile:
     group_size: int
@@ -59,20 +77,17 @@ class CompressedFile:
     payload_bit_length: int
 
     @property
-    def reduced(self) -> bool:
-        return self.group_size > 1
-
-    @property
     def flags(self) -> int:
-        return (FLAG_REDUCED if self.reduced else 0) | (
+        return (FLAG_REDUCED if self.group_size > 1 else 0) | (
             FLAG_DC_DIFF if self.dc_diff else 0
         )
 
     def validate(self):
-        if not 1 <= self.orig_width <= 0xFFFF or not 1 <= self.orig_height <= 0xFFFF:
+        if not (1 <= self.orig_width <= MAX_DIMENSION
+                and 1 <= self.orig_height <= MAX_DIMENSION):
             raise InvariantError("original dimensions out of range")
-        if (self.padded_width != (self.orig_width + 7) // 8 * 8
-                or self.padded_height != (self.orig_height + 7) // 8 * 8):
+        padded = padded_size(self.orig_width, self.orig_height)
+        if (self.padded_width, self.padded_height) != padded:
             raise InvariantError(
                 "padded dimensions must round the original up to a multiple of 8"
             )
@@ -144,11 +159,13 @@ def deserialize(data: bytes) -> CompressedFile:
         raise TruncatedFileError("file ends before the payload bit length")
     (payload_bit_length,) = struct.unpack_from(">I", data, pos)
     pos += 4
-    payload_bytes = (payload_bit_length + 7) // 8
-    if len(data) < pos + payload_bytes:
+    end = pos + (payload_bit_length + 7) // 8
+    if len(data) < end:
         raise TruncatedFileError(
-            f"payload declares {payload_bytes} bytes but {len(data) - pos} remain"
+            f"payload declares {end - pos} bytes but {len(data) - pos} remain"
         )
+    if len(data) > end:
+        raise TrailingDataError(f"{len(data) - end} bytes follow the payload")
     file = CompressedFile(
         group_size=group_size,
         dc_diff=bool(flags & FLAG_DC_DIFF),
@@ -160,7 +177,7 @@ def deserialize(data: bytes) -> CompressedFile:
         symbol_count=symbol_count,
         quant_table=quant,
         codebook=codebook,
-        payload=data[pos : pos + payload_bytes],
+        payload=data[pos:end],
         payload_bit_length=payload_bit_length,
     )
     file.validate()

@@ -1,22 +1,25 @@
-"""Canonical Huffman coding over scalar or composite (grouped) symbols.
+"""Canonical Huffman coding of the coefficient stream, cut into g-wide symbols.
 
-Symbols are plain ints (quantized coefficients) or, after grouping, tuples
-of ints. Grouping g consecutive symbols into one tuple shrinks the coded
-sequence by a factor of g; the codebook is built over observed tuples only.
+Every mode codes the stream the same way: the flat coefficients are padded
+with zeros to a multiple of g and cut into rows of g parts, each distinct row
+being one symbol (g = 1 is the scalar mode; a larger g shrinks the coded
+sequence g-fold). The coder works on ids into the sorted alphabet of the
+symbols present: the Huffman code is built over the per-id counts, and the
+payload concatenates the codes of the per-row ids.
 """
 
 from __future__ import annotations
 
 import heapq
 import struct
-from collections import Counter
 from dataclasses import dataclass, field
+from fractions import Fraction
 from functools import cached_property
 
-Scalar = int
-Composite = tuple[int, ...]
+import numpy as np
 
 MAX_CODE_LENGTH = 64
+_BIAS = 0x8000  # maps an int16 part onto 0..0xFFFF, keeping its order
 
 
 class EntropyError(ValueError):
@@ -51,153 +54,155 @@ class TruncatedCodebookError(CodebookError):
     """Serialized codebook ends before the declared symbol count."""
 
 
-@dataclass(frozen=True)
-class FrequencyTable:
-    counts: dict
-    total: int
-
-    def probability(self, symbol) -> float:
-        return self.counts[symbol] / self.total
+def _symbol_keys(rows: np.ndarray) -> list:
+    """Codebook keys for alphabet rows: ints when g = 1, else g-tuples."""
+    if rows.shape[1] == 1:
+        return rows[:, 0].tolist()
+    return list(map(tuple, rows.tolist()))
 
 
-def build_frequency_table(seq) -> FrequencyTable:
-    counts = Counter(seq)
-    if not counts:
-        raise EntropyError("cannot build a frequency table from an empty sequence")
-    return FrequencyTable(dict(counts), sum(counts.values()))
+def _check_int16(rows: np.ndarray) -> np.ndarray:
+    """rows unchanged, refusing any part that a 16-bit field would wrap."""
+    if rows.size and (rows.min() < -_BIAS or rows.max() >= _BIAS):
+        raise EntropyError("symbol part outside the signed 16-bit range")
+    return rows
 
 
-def reduce_symbols(seq, g: int) -> tuple[list[Composite], int]:
-    """Group g consecutive symbols left-to-right into tuples.
+def group_symbols(seq, g: int) -> tuple[dict, np.ndarray, int]:
+    """Cut a flat coefficient stream into g-wide rows and count the symbols.
 
-    A short tail is padded with zeros; returns (composites, pad_count) with
-    0 <= pad_count < g so the expansion can drop the padding again.
+    Returns (counts, ids, pad_count): counts maps each distinct row, in
+    ascending order, to its number of occurrences; ids[i] is row i's index
+    into that order; pad_count < g zeros were appended to fill the last row.
     """
-    if g < 2:
-        raise ValueError(f"group size must be >= 2, got {g}")
-    seq = list(seq)
-    if not seq:
-        raise EntropyError("cannot group an empty sequence")
-    pad_count = (-len(seq)) % g
-    seq.extend([0] * pad_count)
-    groups = [tuple(seq[i : i + g]) for i in range(0, len(seq), g)]
-    return groups, pad_count
-
-
-def expand_symbols(groups, g: int, pad_count: int) -> list[Scalar]:
-    """Inverse of reduce_symbols: concatenate tuples, drop trailing padding."""
-    if not 0 <= pad_count < g:
-        raise ValueError(f"pad_count {pad_count} not in [0, {g})")
-    groups = list(groups)
-    if not groups and pad_count > 0:
-        raise EntropyError("pad_count > 0 with no composite symbols")
-    out: list[Scalar] = []
-    for tup in groups:
-        if len(tup) != g:
-            raise EntropyError(f"composite symbol has {len(tup)} parts, expected {g}")
-        out.extend(tup)
-    return out[: len(out) - pad_count] if pad_count else out
+    if g < 1:
+        raise ValueError(f"group size must be >= 1, got {g}")
+    seq = np.asarray(seq, dtype=np.int64).reshape(-1)
+    if not seq.size:
+        raise EntropyError("cannot code an empty sequence")
+    pad_count = -seq.size % g
+    rows = np.concatenate([seq, np.zeros(pad_count, np.int64)]).reshape(-1, g)
+    # A biased big-endian row compares bytewise in signed lexicographic order.
+    keys = (_check_int16(rows) + _BIAS).astype(">u2").view(f"V{2 * g}").reshape(-1)
+    alphabet, ids, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    alphabet = alphabet.view(">u2").astype(np.int64).reshape(-1, g) - _BIAS
+    return dict(zip(_symbol_keys(alphabet), counts.tolist())), ids, pad_count
 
 
 @dataclass(frozen=True)
 class CodeBook:
     """Canonical prefix code: codes are determined by lengths alone.
 
-    group_size is 1 for scalar symbols, else the tuple width.
+    lengths maps each symbol (an int when group_size is 1, else a tuple of
+    group_size ints) to its code length. A symbol's id is its index in the
+    ascending alphabet `symbols`.
     """
 
     lengths: dict = field(repr=False)
     group_size: int = 1
 
     @cached_property
-    def canonical_symbols(self) -> list:
-        return sorted(self.lengths, key=lambda s: (self.lengths[s], s))
+    def symbols(self) -> list:
+        return sorted(self.lengths)
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The alphabet as an int64 array with one row of group_size parts per id."""
+        return np.array(self.symbols, dtype=np.int64).reshape(-1, self.group_size)
+
+    @cached_property
+    def canonical_ids(self) -> list[int]:
+        """Ids in canonical order: by code length, then by symbol."""
+        lengths = [self.lengths[s] for s in self.symbols]
+        return np.argsort(lengths, kind="stable").tolist()
 
     @cached_property
     def codes(self) -> dict:
-        """Symbol -> canonical code as a '0'/'1' string, MSB first."""
-        codes = {}
-        code = 0
-        prev_len = None
-        for sym in self.canonical_symbols:
-            length = self.lengths[sym]
-            if prev_len is not None:
-                code = (code + 1) << (length - prev_len)
-            codes[sym] = format(code, f"0{length}b")
-            prev_len = length
+        """Symbol -> canonical code as a '0'/'1' string, MSB first, in id order."""
+        codes = dict.fromkeys(self.symbols)
+        code, prev_len = -1, min(self.lengths.values(), default=0)
+        for i in self.canonical_ids:
+            sym = self.symbols[i]
+            code = (code + 1) << (self.lengths[sym] - prev_len)
+            prev_len = self.lengths[sym]
+            codes[sym] = format(code, f"0{prev_len}b")
         return codes
 
     @cached_property
-    def kraft_sum(self) -> float:
-        return sum(2.0 ** -l for l in self.lengths.values())
-
-    @cached_property
-    def _decode_tables(self) -> list[tuple[int, dict]]:
-        by_len: dict[int, dict] = {}
-        for sym, code in self.codes.items():
-            by_len.setdefault(len(code), {})[code] = sym
-        return sorted(by_len.items())
+    def kraft_sum(self) -> Fraction:
+        """Exact sum of 2**-length over the alphabet; 1 for a complete code."""
+        total = sum(1 << (MAX_CODE_LENGTH - l) for l in self.lengths.values())
+        return Fraction(total, 1 << MAX_CODE_LENGTH)
 
 
-def huffman_code_lengths(freqs: FrequencyTable) -> dict:
-    """Code lengths from the two-least-frequent merge.
+def huffman_code_lengths(counts) -> list[int]:
+    """Per-index code lengths from the two-least-frequent merge.
 
-    Ties between equal counts go to the node holding the smallest symbol, so
+    Ties between equal counts go to the node holding the smallest index, so
     the result is deterministic. A single-symbol alphabet gets length 1.
     """
-    if not freqs.counts:
+    n = len(counts)
+    if not n:
         raise EntropyError("empty frequency table")
-    if len(freqs.counts) == 1:
-        (sym,) = freqs.counts
-        return {sym: 1}
-    # heap entries: (count, min symbol of node, {symbol: depth})
-    heap = [(count, sym, {sym: 0}) for sym, count in freqs.counts.items()]
+    if n == 1:
+        return [1]
+    # heap entries: (count, smallest leaf index below the node, node); leaves
+    # are nodes 0..n-1 and each merge appends one node
+    heap = [(count, i, i) for i, count in enumerate(counts)]
     heapq.heapify(heap)
-    while len(heap) > 1:
-        c1, k1, d1 = heapq.heappop(heap)
-        c2, k2, d2 = heapq.heappop(heap)
-        merged = {s: d + 1 for s, d in d1.items()}
-        merged.update((s, d + 1) for s, d in d2.items())
-        heapq.heappush(heap, (c1 + c2, min(k1, k2), merged))
-    return heap[0][2]
+    parent = [0] * (2 * n - 1)
+    for node in range(n, 2 * n - 1):
+        c1, k1, a = heapq.heappop(heap)
+        c2, k2, b = heapq.heappop(heap)
+        parent[a] = parent[b] = node
+        heapq.heappush(heap, (c1 + c2, min(k1, k2), node))
+    depth = [0] * (2 * n - 1)
+    for v in range(2 * n - 3, -1, -1):  # every parent is numbered after its children
+        depth[v] = depth[parent[v]] + 1
+    return depth[:n]
 
 
-def build_codebook(freqs: FrequencyTable, group_size: int = 1) -> CodeBook:
-    lengths = huffman_code_lengths(freqs)
-    return CodeBook(lengths, group_size)
+def build_codebook(counts: dict, group_size: int = 1) -> CodeBook:
+    """Huffman code over {symbol: count}."""
+    symbols = sorted(counts)
+    lengths = huffman_code_lengths([counts[s] for s in symbols])
+    return CodeBook(dict(zip(symbols, lengths)), group_size)
 
 
-def encode(seq, book: CodeBook) -> tuple[bytes, int]:
-    """Concatenate MSB-first codes; returns (payload bytes, exact bit length)."""
-    codes = book.codes
-    try:
-        bits = "".join([codes[sym] for sym in seq])
-    except KeyError as exc:
-        raise UnknownSymbolError(f"symbol {exc.args[0]!r} not in codebook") from None
+def encode(ids, book: CodeBook) -> tuple[bytes, int]:
+    """Concatenate MSB-first codes of symbol ids; returns (payload, bit length)."""
+    ids = np.asarray(ids, dtype=np.intp)
+    if ids.size and (ids.min() < 0 or ids.max() >= len(book.symbols)):
+        raise UnknownSymbolError("symbol id not in codebook")
+    codes = np.array(list(book.codes.values()), dtype=object)
+    bits = "".join(codes[ids].tolist())
     pad = -len(bits) % 8
     payload = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
     return payload, len(bits)
 
 
 def decode(data: bytes, book: CodeBook, symbol_count: int,
-           bit_length: int | None = None) -> list:
-    """Decode exactly symbol_count symbols from an MSB-first payload.
+           bit_length: int | None = None) -> np.ndarray:
+    """Decode exactly symbol_count symbol ids from an MSB-first payload.
 
     If bit_length is given, the decoded codes must consume it exactly;
     leftover coded bits raise DanglingBitsError and codes running past it
     raise BitExhaustionError. Byte-boundary padding past bit_length is ignored.
     """
     bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
-    tables = book._decode_tables
+    by_len: dict[int, dict] = {}
+    for i, code in enumerate(book.codes.values()):
+        by_len.setdefault(len(code), {})[code] = i
+    tables = sorted(by_len.items())
     out = []
     pos = 0
     for _ in range(symbol_count):
         for length, table in tables:
             # a slice cut short by the end of the data matches no code
-            sym = table.get(bits[pos : pos + length])
-            if sym is not None:
+            i = table.get(bits[pos : pos + length])
+            if i is not None:
                 pos += length
-                out.append(sym)
+                out.append(i)
                 break
         else:
             raise BitExhaustionError("no code matches the remaining bits")
@@ -209,23 +214,24 @@ def decode(data: bytes, book: CodeBook, symbol_count: int,
         raise DanglingBitsError(
             f"decoded {pos} bits but payload declares {bit_length}"
         )
-    return out
+    return np.array(out, dtype=np.intp)
+
+
+def _entry_dtype(g: int) -> np.dtype:
+    return np.dtype([("parts", ">i2", (g,)), ("length", "u1")])
 
 
 def serialize_codebook(book: CodeBook) -> bytes:
     """Symbol count (u32 BE), then per symbol in canonical order:
     group_size signed 16-bit parts followed by one length byte."""
-    g = book.group_size
-    parts_fmt = ">" + "h" * g
-    out = bytearray(struct.pack(">I", len(book.lengths)))
-    for sym in book.canonical_symbols:
-        length = book.lengths[sym]
-        if not 1 <= length <= MAX_CODE_LENGTH:
-            raise InvalidCodeLengthError(f"code length {length} out of range")
-        parts = (sym,) if g == 1 else sym
-        out += struct.pack(parts_fmt, *parts)
-        out.append(length)
-    return bytes(out)
+    order = book.canonical_ids
+    lengths = np.array([book.lengths[book.symbols[i]] for i in order], dtype=np.int64)
+    if lengths.size and (lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH):
+        raise InvalidCodeLengthError("code length out of range")
+    entries = np.empty(len(order), _entry_dtype(book.group_size))
+    entries["parts"] = _check_int16(book.rows[order])
+    entries["length"] = lengths
+    return struct.pack(">I", len(order)) + entries.tobytes()
 
 
 def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
@@ -235,37 +241,29 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
     is bit-identical to the encoder's book. Validates length range, canonical
     ordering, and the Kraft equality.
     """
-    g = group_size
     if len(data) < 4:
         raise TruncatedCodebookError("codebook shorter than its count field")
     (n,) = struct.unpack_from(">I", data)
     if n == 0:
         raise CodebookError("codebook declares zero symbols")
-    entry_size = 2 * g + 1
-    end = 4 + n * entry_size
+    entry = _entry_dtype(group_size)
+    end = 4 + n * entry.itemsize
     if len(data) < end:
+        fit = (len(data) - 4) // entry.itemsize
         raise TruncatedCodebookError(
-            f"codebook declares {n} symbols but only {(len(data) - 4) // entry_size} fit"
-        )
-    parts_fmt = ">" + "h" * g
-    lengths = {}
-    order = []
-    for i in range(n):
-        off = 4 + i * entry_size
-        parts = struct.unpack_from(parts_fmt, data, off)
-        sym = parts[0] if g == 1 else parts
-        length = data[off + 2 * g]
-        if not 1 <= length <= MAX_CODE_LENGTH:
-            raise InvalidCodeLengthError(f"code length {length} out of range")
-        if sym in lengths:
-            raise CodebookError(f"duplicate symbol {sym!r}")
-        lengths[sym] = length
-        order.append(sym)
-    if order != sorted(order, key=lambda s: (lengths[s], s)):
+            f"codebook declares {n} symbols but only {fit} fit")
+    entries = np.frombuffer(data, entry, count=n, offset=4)
+    lengths = entries["length"].tolist()
+    if min(lengths) < 1 or max(lengths) > MAX_CODE_LENGTH:
+        raise InvalidCodeLengthError("code length out of range")
+    order = list(zip(lengths, _symbol_keys(entries["parts"])))
+    book = CodeBook({sym: length for length, sym in order}, group_size)
+    if len(book.lengths) != n:
+        raise CodebookError("duplicate symbol in codebook")
+    if order != sorted(order):
         raise CodebookError("codebook entries not in canonical order")
-    kraft = sum(1 << (MAX_CODE_LENGTH - l) for l in lengths.values())
-    if n >= 2 and kraft != 1 << MAX_CODE_LENGTH:
-        raise KraftViolationError(f"Kraft sum {kraft} / 2**64 != 1")
-    if n == 1 and next(iter(lengths.values())) != 1:
+    if n >= 2 and book.kraft_sum != 1:
+        raise KraftViolationError(f"Kraft sum {book.kraft_sum} != 1")
+    if n == 1 and lengths[0] != 1:
         raise KraftViolationError("single-symbol alphabet must use length 1")
-    return CodeBook(lengths, g), end
+    return book, end

@@ -7,29 +7,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import CodeBook, FrequencyTable, UnknownSymbolError
+from .entropy import CodeBook, UnknownSymbolError
 from .image import Image
 
 
-def empirical_entropy(freqs: FrequencyTable) -> float:
-    """First-order entropy in bits/symbol of the empirical distribution."""
-    if not freqs.counts:
+def empirical_entropy(counts: dict) -> float:
+    """First-order entropy in bits/symbol of the {symbol: count} distribution."""
+    if not counts:
         raise ValueError("empty frequency table")
-    total = freqs.total
-    return -sum(
-        (c / total) * math.log2(c / total) for c in freqs.counts.values()
-    )
+    total = sum(counts.values())
+    return -sum((c / total) * math.log2(c / total) for c in counts.values())
 
 
-def average_code_length(book: CodeBook, freqs: FrequencyTable) -> float:
-    """Expected code length in bits under the empirical distribution."""
+def average_code_length(book: CodeBook, counts: dict) -> float:
+    """Expected code length in bits under the {symbol: count} distribution."""
     try:
-        weighted = sum(
-            book.lengths[sym] * count for sym, count in freqs.counts.items()
-        )
+        weighted = sum(book.lengths[sym] * count for sym, count in counts.items())
     except KeyError as exc:
         raise UnknownSymbolError(f"symbol {exc.args[0]!r} not in codebook") from None
-    return weighted / freqs.total
+    return weighted / sum(counts.values())
 
 
 def compression_ratio(original_bits: int, compressed_bits: int) -> float:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 from fractions import Fraction
 
@@ -54,6 +55,23 @@ def min_prefix_code_cost(counts: list[int]) -> int:
 
     recurse(0, 1, Fraction(0), 0)
     return int(best)
+
+
+def huffman_lengths_reference(counts: dict) -> dict:
+    """Huffman code lengths by merging {symbol: depth} dicts on a heap.
+
+    Ties between equal counts go to the node holding the smallest symbol.
+    """
+    if len(counts) == 1:
+        return {sym: 1 for sym in counts}
+    heap = [(count, sym, {sym: 0}) for sym, count in counts.items()]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        c1, k1, d1 = heapq.heappop(heap)
+        c2, k2, d2 = heapq.heappop(heap)
+        merged = {s: d + 1 for s, d in {**d1, **d2}.items()}
+        heapq.heappush(heap, (c1 + c2, min(k1, k2), merged))
+    return heap[0][2]
 
 
 def is_prefix_free(codes: dict) -> bool:

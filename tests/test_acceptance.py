@@ -107,30 +107,26 @@ def test_criterion_4_entropy_fuzz():
     assert len(lengths) == 1000
     for n in lengths:
         seq = rng.integers(-2047, 2048, size=n).tolist()
-        book = entropy.build_codebook(entropy.build_frequency_table(seq))
-        check_book(book)
-        payload, nbits = entropy.encode(seq, book)
-        assert entropy.decode(payload, book, len(seq), nbits) == seq
-        for g in (2, 4, 8):
-            groups, pad = entropy.reduce_symbols(seq, g)
-            book = entropy.build_codebook(entropy.build_frequency_table(groups), g)
+        for g in (1, 2, 4, 8):
+            counts, ids, _ = entropy.group_symbols(seq, g)
+            book = entropy.build_codebook(counts, g)
             check_book(book)
-            payload, nbits = entropy.encode(groups, book)
-            decoded = entropy.decode(payload, book, len(groups), nbits)
-            assert entropy.expand_symbols(decoded, g, pad) == seq
+            payload, nbits = entropy.encode(ids, book)
+            decoded = entropy.decode(payload, book, len(ids), nbits)
+            assert book.rows[decoded].reshape(-1)[:n].tolist() == seq
 
 
 @criterion(5, "grouping arithmetic and the two-tuple worked example")
 def test_criterion_5_reduction_arithmetic():
-    groups, pad = entropy.reduce_symbols(list(range(64)), 4)
-    assert len(groups) == 16 and pad == 0
+    _, ids, pad = entropy.group_symbols(list(range(64)), 4)
+    assert len(ids) == 16 and pad == 0
 
-    symbols = [(1, 2, 3, 4), (5, 6, 7, 8)]
-    freqs = entropy.build_frequency_table(symbols)
-    book = entropy.build_codebook(freqs, 4)
+    counts, _, _ = entropy.group_symbols([1, 2, 3, 4, 5, 6, 7, 8], 4)
+    assert counts == {(1, 2, 3, 4): 1, (5, 6, 7, 8): 1}
+    book = entropy.build_codebook(counts, 4)
     assert set(book.lengths.values()) == {1}
     assert sorted(book.codes.values()) == ["0", "1"]
-    assert metrics.average_code_length(book, freqs) == 1.0
+    assert metrics.average_code_length(book, counts) == 1.0
 
 
 @criterion(6, "mode parity of reconstructions")

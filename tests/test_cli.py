@@ -47,6 +47,16 @@ class TestCompressCommand:
         assert rc == cli.EXIT_FORMAT
         assert capsys.readouterr().err.startswith("error: pgm-magic:")
 
+    def test_image_too_large(self, tmp_path, capsys):
+        # the padded width 65536 does not fit the header's u16 field
+        src = write_image(tmp_path / "wide.pgm", "gradient", 65535, 1)
+        out = tmp_path / "o.hjpg"
+        rc = cli.main(["compress", src, str(out)])
+        assert rc == cli.EXIT_FORMAT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: image-too-large:")
+        assert not out.exists()
+
 
 class TestDecompressCommand:
     def test_round_trip(self, tmp_path):
@@ -80,6 +90,17 @@ class TestDecompressCommand:
         rc = cli.main(["decompress", str(packed), str(tmp_path / "back.pgm")])
         assert rc == cli.EXIT_FORMAT
         assert capsys.readouterr().err.startswith("error: container:")
+
+    def test_trailing_bytes(self, tmp_path, capsys):
+        src = write_image(tmp_path / "in.pgm")
+        packed = tmp_path / "out.hjpg"
+        cli.main(["compress", src, str(packed)])
+        packed.write_bytes(packed.read_bytes() + b"garbage")
+        capsys.readouterr()
+        rc = cli.main(["decompress", str(packed), str(tmp_path / "back.pgm")])
+        assert rc == cli.EXIT_FORMAT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: trailing-data:")
 
 
 # One small container per entropy configuration, for the mutation fuzz.
@@ -127,7 +148,7 @@ class TestInspectCommand:
         assert cli.main(["inspect", str(packed)]) == 0
         out = capsys.readouterr().out
         assert "group_size: 4" in out
-        assert "kraft_sum: 1" in out
+        assert "kraft_sum: 1" in out.splitlines()
 
     def test_scalar_file(self, tmp_path, capsys):
         src = write_image(tmp_path / "in.pgm")

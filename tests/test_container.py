@@ -7,6 +7,8 @@ from hjpeg.container import (
     CompressedFile,
     ContainerError,
     InvariantError,
+    ImageTooLargeError,
+    TrailingDataError,
     TruncatedFileError,
     UnsupportedVersionError,
     deserialize,
@@ -17,15 +19,12 @@ from hjpeg.quantize import default_quant_table
 
 def random_file(rng) -> CompressedFile:
     g = int(rng.choice([1, 2, 4, 8]))
-    if g == 1:
-        n = int(rng.integers(1, 50))
-        symbols = rng.integers(-2047, 2048, size=n).tolist()
-    else:
-        n = int(rng.integers(1, 50))
-        symbols = [tuple(r) for r in rng.integers(-2047, 2048, size=(n, g)).tolist()]
-    stream = [symbols[int(rng.integers(0, len(symbols)))] for _ in range(200)]
-    book = entropy.build_codebook(entropy.build_frequency_table(stream), g)
-    payload, nbits = entropy.encode(stream, book)
+    n = int(rng.integers(1, 50))
+    symbols = rng.integers(-2047, 2048, size=(n, g))
+    stream = np.array([symbols[int(rng.integers(0, n))] for _ in range(200)])
+    counts, ids, _ = entropy.group_symbols(stream.reshape(-1), g)
+    book = entropy.build_codebook(counts, g)
+    payload, nbits = entropy.encode(ids, book)
     bw = int(rng.integers(1, 5)) * 8
     bh = int(rng.integers(1, 5)) * 8
     return CompressedFile(
@@ -36,7 +35,7 @@ def random_file(rng) -> CompressedFile:
         padded_width=bw,
         padded_height=bh,
         pad_count=int(rng.integers(0, g)),
-        symbol_count=len(stream),
+        symbol_count=len(ids),
         quant_table=default_quant_table(),
         codebook=book,
         payload=payload,
@@ -141,3 +140,21 @@ class TestCorruption:
         data[16:20] = (bits + 1).to_bytes(4, "big")  # symbol count
         with pytest.raises(InvariantError):
             deserialize(bytes(data))
+
+    def test_trailing_bytes_rejected(self, sample):
+        with pytest.raises(TrailingDataError) as info:
+            deserialize(sample + b"garbage")
+        assert not isinstance(info.value, InvariantError)
+
+
+class TestPaddedSize:
+    def test_rounds_up_to_blocks(self):
+        assert container.padded_size(1, 8) == (8, 8)
+        assert container.padded_size(37, 29) == (40, 32)
+
+    def test_largest_side(self):
+        assert container.padded_size(65528, 65528) == (65528, 65528)
+        for w, h in ((65529, 1), (1, 65535)):
+            with pytest.raises(ImageTooLargeError):
+                container.padded_size(w, h)
+        assert issubclass(ImageTooLargeError, ContainerError)

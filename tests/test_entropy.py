@@ -1,12 +1,20 @@
 import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hjpeg import entropy
-from oracles import is_prefix_free, kraft_sum_exact, min_prefix_code_cost
+from hjpeg import codec, entropy
+from hjpeg.codec import CodecConfig
+from hjpeg.image import generate_test_image
+from oracles import (
+    huffman_lengths_reference,
+    is_prefix_free,
+    kraft_sum_exact,
+    min_prefix_code_cost,
+)
 
 # The eight-symbol worked example: grouping by 4 leaves two tuples.
 A, B, C, D, E, F, G, H = range(1, 9)
@@ -18,110 +26,155 @@ def bits_of(payload, nbits):
     )[:nbits]
 
 
+def expand(seq, g):
+    """Group, build a book and map the ids back to a flat stream, as the codec does."""
+    counts, ids, pad = entropy.group_symbols(seq, g)
+    book = entropy.build_codebook(counts, g)
+    return book.rows[ids].reshape(-1)[: len(ids) * g - pad].tolist()
+
+
 class TestReduceSymbols:
     def test_worked_example(self):
-        groups, pad = entropy.reduce_symbols([A, B, C, D, E, F, G, H], 4)
-        assert groups == [(A, B, C, D), (E, F, G, H)]
-        assert pad == 0
+        counts, ids, pad = entropy.group_symbols([A, B, C, D, E, F, G, H], 4)
+        assert counts == {(A, B, C, D): 1, (E, F, G, H): 1}
+        assert ids.tolist() == [0, 1] and pad == 0
 
     def test_block_of_64_gives_16(self):
-        groups, pad = entropy.reduce_symbols(list(range(64)), 4)
-        assert len(groups) == 16 and pad == 0
+        counts, ids, pad = entropy.group_symbols(list(range(64)), 4)
+        assert len(ids) == 16 and len(counts) == 16 and pad == 0
 
     def test_padding(self):
-        groups, pad = entropy.reduce_symbols([5, 7], 4)
-        assert groups == [(5, 7, 0, 0)] and pad == 2
+        counts, ids, pad = entropy.group_symbols([5, 7], 4)
+        assert counts == {(5, 7, 0, 0): 1} and pad == 2
 
     def test_empty_rejected(self):
         with pytest.raises(entropy.EntropyError):
-            entropy.reduce_symbols([], 4)
+            entropy.group_symbols([], 4)
 
     def test_group_size_one_rejected(self):
+        # g = 1 is the scalar mode; only the grouped mode needs g >= 2
         with pytest.raises(ValueError):
-            entropy.reduce_symbols([1, 2], 1)
+            CodecConfig(entropy_mode="reduced", group_size=1)
+        with pytest.raises(ValueError):
+            entropy.group_symbols([1, 2], 0)
+
+    def test_scalar_symbols_are_ints(self):
+        counts, ids, pad = entropy.group_symbols([3, -1, 3], 1)
+        assert counts == {-1: 1, 3: 2} and ids.tolist() == [1, 0, 1] and pad == 0
+
+    @settings(max_examples=100)
+    @given(
+        seq=st.lists(st.integers(-32768, 32767), min_size=1, max_size=300),
+        g=st.sampled_from([1, 2, 3, 4, 8]),
+    )
+    def test_alphabet_in_ascending_symbol_order(self, seq, g):
+        counts, ids, pad = entropy.group_symbols(seq, g)
+        padded = seq + [0] * pad
+        rows = [tuple(padded[i : i + g]) for i in range(0, len(padded), g)]
+        if g == 1:
+            rows = [r[0] for r in rows]
+        alphabet = sorted(set(rows))
+        assert list(counts) == alphabet
+        assert [alphabet[i] for i in ids.tolist()] == rows
+        assert list(counts.values()) == [rows.count(s) for s in alphabet]
+
+    @pytest.mark.parametrize("part", [32768, -32769, 1 << 32])
+    def test_part_outside_int16_rejected(self, part):
+        for g in (1, 4):
+            with pytest.raises(entropy.EntropyError):
+                entropy.group_symbols([0, part, 5], g)
 
 
 class TestExpandSymbols:
     def test_worked_example_inverse(self):
-        out = entropy.expand_symbols([(A, B, C, D), (E, F, G, H)], 4, 0)
-        assert out == [A, B, C, D, E, F, G, H]
+        assert expand([A, B, C, D, E, F, G, H], 4) == [A, B, C, D, E, F, G, H]
 
     def test_padding_dropped(self):
-        assert entropy.expand_symbols([(5, 7, 0, 0)], 4, 2) == [5, 7]
+        assert expand([5, 7], 4) == [5, 7]
 
     def test_bad_pad_count(self):
+        file = codec.compress(generate_test_image("noise", 8, 8, 0), CodecConfig())
+        file.pad_count = file.group_size
         with pytest.raises(ValueError):
-            entropy.expand_symbols([(1, 2)], 2, 2)
+            codec.decompress(file)
 
     @settings(max_examples=100)
     @given(
         seq=st.lists(st.integers(-2047, 2047), min_size=1, max_size=300),
-        g=st.sampled_from([2, 3, 4, 8]),
+        g=st.sampled_from([1, 2, 3, 4, 8]),
     )
     def test_round_trip(self, seq, g):
-        groups, pad = entropy.reduce_symbols(seq, g)
-        assert entropy.expand_symbols(groups, g, pad) == seq
+        assert expand(seq, g) == seq
 
 
-class TestFrequencyTable:
+class TestSymbolCounts:
     def test_counts(self):
-        t = entropy.build_frequency_table(["a", "a", "b"])
-        assert t.counts == {"a": 2, "b": 1} and t.total == 3
+        counts, _, _ = entropy.group_symbols([2, 2, 1], 1)
+        assert counts == {1: 1, 2: 2} and sum(counts.values()) == 3
 
     def test_equiprobable_eighths(self):
-        t = entropy.build_frequency_table(list(range(8)))
-        assert all(t.probability(s) == 0.125 for s in range(8))
+        counts, _, _ = entropy.group_symbols(list(range(8)), 1)
+        assert all(counts[s] / 8 == 0.125 for s in range(8))
 
     def test_composite_halves(self):
-        t = entropy.build_frequency_table([(A, B, C, D), (E, F, G, H)])
-        assert len(t.counts) == 2
-        assert t.probability((A, B, C, D)) == 0.5
+        counts, _, _ = entropy.group_symbols([A, B, C, D, E, F, G, H], 4)
+        assert len(counts) == 2
+        assert counts[(A, B, C, D)] / sum(counts.values()) == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(entropy.EntropyError):
-            entropy.build_frequency_table([])
+            entropy.group_symbols([], 1)
 
 
 class TestBuildCodebook:
     def test_two_symbols(self):
-        book = entropy.build_codebook(
-            entropy.build_frequency_table([(A, B, C, D), (E, F, G, H)])
-        )
+        counts, _, _ = entropy.group_symbols([A, B, C, D, E, F, G, H], 4)
+        book = entropy.build_codebook(counts, 4)
         assert set(book.lengths.values()) == {1}
         assert sorted(book.codes.values()) == ["0", "1"]
 
     def test_skewed_counts(self):
-        freqs = entropy.FrequencyTable({"a": 8, "b": 4, "c": 2, "d": 1, "e": 1}, 16)
-        book = entropy.build_codebook(freqs)
+        counts = {"a": 8, "b": 4, "c": 2, "d": 1, "e": 1}
+        book = entropy.build_codebook(counts)
         assert book.lengths == {"a": 1, "b": 2, "c": 3, "d": 4, "e": 4}
-        cost = sum(book.lengths[s] * c for s, c in freqs.counts.items())
+        cost = sum(book.lengths[s] * c for s, c in counts.items())
         assert cost == 30
-        assert min_prefix_code_cost(list(freqs.counts.values())) == 30
+        assert min_prefix_code_cost(list(counts.values())) == 30
 
     def test_single_symbol(self):
-        book = entropy.build_codebook(entropy.build_frequency_table([9, 9, 9]))
+        book = entropy.build_codebook({9: 3})
         assert book.lengths == {9: 1} and book.codes == {9: "0"}
 
     def test_equiprobable_eight_is_uniform(self):
-        book = entropy.build_codebook(entropy.build_frequency_table(list(range(8))))
+        book = entropy.build_codebook(dict.fromkeys(range(8), 1))
         assert set(book.lengths.values()) == {3}
 
     def test_deterministic_ties(self):
         seq = [3, 1, 2, 0] * 5
         books = [
-            entropy.build_codebook(entropy.build_frequency_table(seq))
+            entropy.build_codebook(entropy.group_symbols(seq, 1)[0])
             for _ in range(3)
         ]
         assert books[0].codes == books[1].codes == books[2].codes
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.dictionaries(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(1, 4),
+            min_size=1, max_size=49,
+        )
+    )
+    def test_ties_go_to_the_smallest_symbol(self, counts):
+        book = entropy.build_codebook(counts, 2)
+        assert book.lengths == huffman_lengths_reference(counts)
 
     def test_optimal_small_alphabets(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             n = int(rng.integers(2, 9))
             counts = rng.integers(1, 50, size=n).tolist()
-            freqs = entropy.FrequencyTable(dict(enumerate(counts)), sum(counts))
-            book = entropy.build_codebook(freqs)
-            cost = sum(book.lengths[s] * c for s, c in freqs.counts.items())
+            book = entropy.build_codebook(dict(enumerate(counts)))
+            cost = sum(book.lengths[s] * c for s, c in enumerate(counts))
             assert cost == min_prefix_code_cost(counts)
 
     @settings(max_examples=100, deadline=None)
@@ -132,63 +185,72 @@ class TestBuildCodebook:
         )
     )
     def test_prefix_free_and_kraft(self, counts):
-        freqs = entropy.FrequencyTable(counts, sum(counts.values()))
-        book = entropy.build_codebook(freqs)
+        book = entropy.build_codebook(counts)
         assert kraft_sum_exact(book.lengths.values()) == 1
+        assert book.kraft_sum == 1
         assert is_prefix_free(
             {s: (int(book.codes[s], 2), book.lengths[s]) for s in book.lengths}
         )
 
+    def test_kraft_sum_is_exact(self):
+        book = entropy.CodeBook({s: s for s in range(1, 65)}, 1)
+        assert book.kraft_sum == 1 - Fraction(1, 2**64)
+
+
+def code_ids(seq, g=1):
+    counts, ids, _ = entropy.group_symbols(seq, g)
+    return entropy.build_codebook(counts, g), ids
+
 
 class TestEncodeDecode:
     def test_two_composites(self):
-        symbols = [(A, B, C, D), (E, F, G, H)]
-        book = entropy.build_codebook(entropy.build_frequency_table(symbols))
-        payload, nbits = entropy.encode(symbols, book)
+        book, ids = code_ids([A, B, C, D, E, F, G, H], 4)
+        payload, nbits = entropy.encode(ids, book)
         assert nbits == 2
         assert bits_of(payload, nbits) == "01"
-        assert entropy.decode(payload, book, 2, nbits) == symbols
+        decoded = entropy.decode(payload, book, 2, nbits)
+        assert book.rows[decoded].tolist() == [[A, B, C, D], [E, F, G, H]]
 
     def test_degenerate_alphabet(self):
-        book = entropy.build_codebook(entropy.build_frequency_table(["x"]))
-        payload, nbits = entropy.encode(["x", "x", "x"], book)
+        book = entropy.CodeBook({9: 1}, 1)
+        payload, nbits = entropy.encode([0, 0, 0], book)
         assert nbits == 3 and bits_of(payload, nbits) == "000"
-        assert entropy.decode(payload, book, 3, nbits) == ["x"] * 3
+        assert entropy.decode(payload, book, 3, nbits).tolist() == [0] * 3
         with pytest.raises(entropy.BitExhaustionError):
             entropy.decode(b"", book, 1)
 
     def test_manual_book(self):
-        book = entropy.CodeBook({"a": 1, "b": 2}, 1)
-        payload, nbits = entropy.encode(["a", "b", "a"], book)
+        book = entropy.CodeBook({10: 1, 20: 2}, 1)
+        payload, nbits = entropy.encode([0, 1, 0], book)
         assert nbits == 4 and bits_of(payload, nbits) == "0100"
-        assert entropy.decode(payload, book, 3, nbits) == ["a", "b", "a"]
+        assert entropy.decode(payload, book, 3, nbits).tolist() == [0, 1, 0]
 
     def test_unknown_symbol(self):
-        book = entropy.build_codebook(entropy.build_frequency_table([1, 2]))
-        with pytest.raises(entropy.UnknownSymbolError):
-            entropy.encode([3], book)
+        book, _ = code_ids([1, 2])
+        for bad in ([2], [-1]):
+            with pytest.raises(entropy.UnknownSymbolError):
+                entropy.encode(bad, book)
 
     def test_bit_exhaustion(self):
-        symbols = list(range(16))
-        book = entropy.build_codebook(entropy.build_frequency_table(symbols))
-        payload, nbits = entropy.encode(symbols, book)
+        book, ids = code_ids(list(range(16)))
+        payload, nbits = entropy.encode(ids, book)
         with pytest.raises(entropy.BitExhaustionError):
             entropy.decode(payload, book, 17)
         assert issubclass(entropy.BitExhaustionError, entropy.EntropyError)
 
     def test_dangling_bits(self):
-        symbols = list(range(16))
-        book = entropy.build_codebook(entropy.build_frequency_table(symbols))
-        payload, nbits = entropy.encode(symbols, book)
+        book, ids = code_ids(list(range(16)))
+        payload, nbits = entropy.encode(ids, book)
         with pytest.raises(entropy.DanglingBitsError):
             entropy.decode(payload, book, 15, nbits)
 
     @settings(max_examples=100, deadline=None)
     @given(seq=st.lists(st.integers(-2047, 2047), min_size=1, max_size=500))
     def test_round_trip_scalar(self, seq):
-        book = entropy.build_codebook(entropy.build_frequency_table(seq))
-        payload, nbits = entropy.encode(seq, book)
-        assert entropy.decode(payload, book, len(seq), nbits) == seq
+        book, ids = code_ids(seq)
+        payload, nbits = entropy.encode(ids, book)
+        decoded = entropy.decode(payload, book, len(ids), nbits)
+        assert book.rows[decoded].reshape(-1).tolist() == seq
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -196,25 +258,20 @@ class TestEncodeDecode:
         g=st.sampled_from([2, 4, 8]),
     )
     def test_round_trip_reduced(self, seq, g):
-        groups, pad = entropy.reduce_symbols(seq, g)
-        book = entropy.build_codebook(entropy.build_frequency_table(groups), g)
-        payload, nbits = entropy.encode(groups, book)
-        decoded = entropy.decode(payload, book, len(groups), nbits)
-        assert entropy.expand_symbols(decoded, g, pad) == seq
+        book, ids = code_ids(seq, g)
+        payload, nbits = entropy.encode(ids, book)
+        decoded = entropy.decode(payload, book, len(ids), nbits)
+        assert book.rows[decoded].reshape(-1)[: len(seq)].tolist() == seq
 
 
 class TestCodebookSerialization:
     def test_two_composite_size(self):
-        book = entropy.build_codebook(
-            entropy.build_frequency_table([(A, B, C, D), (E, F, G, H)]), 4
-        )
+        book, _ = code_ids([A, B, C, D, E, F, G, H], 4)
         data = entropy.serialize_codebook(book)
         assert len(data) == 4 + 2 * (8 + 1)
 
     def test_scalar_256_size(self):
-        book = entropy.build_codebook(
-            entropy.build_frequency_table(list(range(256)))
-        )
+        book, _ = code_ids(list(range(256)))
         assert len(entropy.serialize_codebook(book)) == 4 + 256 * 3
 
     def test_round_trip_random(self):
@@ -222,35 +279,32 @@ class TestCodebookSerialization:
         for g in (1, 2, 4):
             for _ in range(20):
                 n = int(rng.integers(1, 400))
-                if g == 1:
-                    syms = rng.integers(-2047, 2048, size=n).tolist()
-                else:
-                    syms = [
-                        tuple(row)
-                        for row in rng.integers(-2047, 2048, size=(n, g)).tolist()
-                    ]
-                book = entropy.build_codebook(entropy.build_frequency_table(syms), g)
+                book, _ = code_ids(rng.integers(-2047, 2048, size=n * g), g)
                 data = entropy.serialize_codebook(book)
                 restored, consumed = entropy.deserialize_codebook(data, g)
                 assert consumed == len(data)
                 assert restored.lengths == book.lengths
                 assert restored.codes == book.codes
 
+    def test_part_outside_int16_rejected(self):
+        with pytest.raises(entropy.EntropyError):
+            entropy.serialize_codebook(entropy.CodeBook({40000: 1}, 1))
+
     def test_truncated(self):
-        book = entropy.build_codebook(entropy.build_frequency_table([1, 2, 3]))
+        book, _ = code_ids([1, 2, 3])
         data = entropy.serialize_codebook(book)
         with pytest.raises(entropy.TruncatedCodebookError):
             entropy.deserialize_codebook(data[:-1], 1)
 
     def test_bad_length_byte(self):
-        book = entropy.build_codebook(entropy.build_frequency_table([1, 2]))
+        book, _ = code_ids([1, 2])
         data = bytearray(entropy.serialize_codebook(book))
         data[6] = 0  # first entry's length byte
         with pytest.raises(entropy.InvalidCodeLengthError):
             entropy.deserialize_codebook(bytes(data), 1)
 
     def test_kraft_violation(self):
-        book = entropy.build_codebook(entropy.build_frequency_table([1, 2, 3]))
+        book, _ = code_ids([1, 2, 3])
         data = bytearray(entropy.serialize_codebook(book))
         data[-1] = 5  # lengthen the last code; Kraft sum drops below 1
         with pytest.raises(entropy.KraftViolationError):
