@@ -6,8 +6,8 @@ from hjpeg.container import (
     BadMagicError,
     CompressedFile,
     ContainerError,
-    InvariantError,
     ImageTooLargeError,
+    InvariantError,
     TrailingDataError,
     TruncatedFileError,
     UnsupportedVersionError,
