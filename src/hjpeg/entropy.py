@@ -6,6 +6,12 @@ being one symbol (g = 1 is the scalar mode; a larger g shrinks the coded
 sequence g-fold). The coder works on ids into the sorted alphabet of the
 symbols present: the Huffman code is built over the per-id counts, and the
 payload concatenates the codes of the per-row ids.
+
+Codes are canonical, so a book is its lengths; CodeBook.canonical derives
+every code from them as a 64-bit left-justified first code. The decoder
+needs no per-symbol Python loop: it tables, for every bit position of the
+payload, where the code starting there ends, and walks that table 16
+symbols per step with a table composed from it by pointer jumping.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ import numpy as np
 
 MAX_CODE_LENGTH = 64
 _BIAS = 0x8000  # maps an int16 part onto 0..0xFFFF, keeping its order
+_BLOCK = 1 << 14  # bit positions, or symbols, per block of the decoder's work
 
 
 class EntropyError(ValueError):
@@ -111,21 +118,29 @@ class CodeBook:
         return np.array(self.symbols, dtype=np.int64).reshape(-1, self.group_size)
 
     @cached_property
-    def canonical_ids(self) -> list[int]:
-        """Ids in canonical order: by code length, then by symbol."""
-        lengths = [self.lengths[s] for s in self.symbols]
-        return np.argsort(lengths, kind="stable").tolist()
+    def canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(ids, lengths, first) in canonical order: by code length, then by symbol.
+
+        first[i] is the code of ids[i] left-justified to 64 bits, the exclusive
+        prefix sum of 2**(64 - length); uint64 holds it exactly because the
+        Kraft sum is at most 1, which is checked here.
+        """
+        lengths = np.array([self.lengths[s] for s in self.symbols], dtype=np.int64)
+        if lengths.size and (lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH):
+            raise InvalidCodeLengthError("code length out of range")
+        if self.kraft_sum > 1:
+            raise KraftViolationError(f"Kraft sum {self.kraft_sum} > 1")
+        ids = np.argsort(lengths, kind="stable")
+        lengths = lengths[ids]
+        span = np.uint64(1) << (MAX_CODE_LENGTH - lengths).astype(np.uint64)
+        return ids, lengths, np.cumsum(span) - span
 
     @cached_property
     def codes(self) -> dict:
         """Symbol -> canonical code as a '0'/'1' string, MSB first, in id order."""
         codes = dict.fromkeys(self.symbols)
-        code, prev_len = -1, min(self.lengths.values(), default=0)
-        for i in self.canonical_ids:
-            sym = self.symbols[i]
-            code = (code + 1) << (self.lengths[sym] - prev_len)
-            prev_len = self.lengths[sym]
-            codes[sym] = format(code, f"0{prev_len}b")
+        for i, length, first in zip(*(a.tolist() for a in self.canonical)):
+            codes[self.symbols[i]] = format(first >> (MAX_CODE_LENGTH - length), f"0{length}b")
         return codes
 
     @cached_property
@@ -181,6 +196,16 @@ def encode(ids, book: CodeBook) -> tuple[bytes, int]:
     return payload, len(bits)
 
 
+def _windows(buf: np.ndarray, words: np.ndarray, byte: np.ndarray,
+             bit: np.ndarray) -> np.ndarray:
+    """The 64 payload bits starting at bit `bit` of byte `byte`, MSB first.
+
+    words[b] is the big-endian u64 at byte b of buf; the low bits of a
+    window that starts mid-byte come from buf[b + 8]. byte and bit broadcast.
+    """
+    return (words[byte] << bit) | (buf[byte + 8] >> (np.uint64(8) - bit))
+
+
 def decode(data: bytes, book: CodeBook, symbol_count: int,
            bit_length: int | None = None) -> np.ndarray:
     """Decode exactly symbol_count symbol ids from an MSB-first payload.
@@ -188,33 +213,71 @@ def decode(data: bytes, book: CodeBook, symbol_count: int,
     If bit_length is given, the decoded codes must consume it exactly;
     leftover coded bits raise DanglingBitsError and codes running past it
     raise BitExhaustionError. Byte-boundary padding past bit_length is ignored.
+
+    The work is done over bit positions rather than symbols. succ[p] is the
+    position after the code that starts at bit p, or p itself where no whole
+    code does; it is built in blocks by matching each position's 64-bit
+    window against the first code of each code length, as in JPEG's
+    table-driven decoding (ITU-T T.81, F.2.2.3). succ composed 16 times, by
+    four squarings, jumps 16 symbols, so a Python loop visits one symbol
+    start in 16 and 15 gathers on succ fill in the rest. These are the
+    positions a one-symbol-at-a-time decoder would reach, so the errors are
+    the same too.
     """
-    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
-    by_len: dict[int, dict] = {}
-    for i, code in enumerate(book.codes.values()):
-        by_len.setdefault(len(code), {})[code] = i
-    tables = sorted(by_len.items())
-    out = []
-    pos = 0
-    for _ in range(symbol_count):
-        for length, table in tables:
-            # a slice cut short by the end of the data matches no code
-            i = table.get(bits[pos : pos + length])
-            if i is not None:
-                pos += length
-                out.append(i)
-                break
-        else:
+    end = 8 * len(data) if bit_length is None else min(bit_length, 8 * len(data))
+    if symbol_count > end:  # every code is at least one bit
+        raise BitExhaustionError(f"{symbol_count} symbols cannot fit in {end} bits")
+    ids, lengths, first = book.canonical
+    # one entry per code length: its first code, the index of that code and
+    # the last window that any code of this length matches
+    group_len, group_index = np.unique(lengths, return_index=True)
+    group_first = first[group_index]
+    shift = (MAX_CODE_LENGTH - group_len).astype(np.uint64)
+    group_size = np.diff(group_index, append=len(ids)).astype(np.uint64)
+    group_last = group_first + (group_size << shift) - np.uint64(1)  # exact mod 2**64
+
+    n_bytes = end // 8 + 1  # byte offsets of the positions 0..end
+    buf = np.frombuffer(data[: n_bytes + 8].ljust(n_bytes + 8, b"\0"), np.uint8)
+    words = np.ndarray((n_bytes,), ">u8", buf, strides=(1,)).astype(np.uint64)
+    succ = np.empty(8 * n_bytes, np.intp)
+    blocks = [slice(p, min(p + _BLOCK, succ.size)) for p in range(0, succ.size, _BLOCK)]
+    bits = np.arange(8, dtype=np.uint64)
+    for block in blocks:
+        pos = np.arange(block.start, block.stop)
+        w = _windows(buf, words, pos[::8, None] >> 3, bits).reshape(-1)
+        g = np.searchsorted(group_first, w, "right") - 1
+        nxt = pos + group_len[g]
+        succ[block] = np.where((w <= group_last[g]) & (nxt <= end), nxt, pos)
+    jump = succ[succ]
+    for _ in range(3):
+        # in place, block by block in ascending order: jump[p] >= p, so a
+        # block reads only entries that this squaring has not yet replaced
+        for block in blocks:
+            jump[block] = jump[jump[block]]
+
+    out = np.empty(symbol_count, np.intp)
+    head = stop = 0
+    for s0 in range(0, symbol_count, _BLOCK):
+        heads = []
+        for _ in range(-(-min(_BLOCK, symbol_count - s0) // 16)):
+            heads.append(head)
+            head = jump.item(head)
+        starts = np.empty((16, len(heads)), np.intp)
+        starts[0] = heads
+        for j in range(1, 16):
+            starts[j] = succ[starts[j - 1]]
+        starts = starts.T.reshape(-1)[: symbol_count - s0]
+        stops = succ[starts]
+        if (stops == starts).any():
             raise BitExhaustionError("no code matches the remaining bits")
-        if bit_length is not None and pos > bit_length:
-            raise BitExhaustionError(
-                f"code ran past the declared payload bit length {bit_length}"
-            )
-    if bit_length is not None and pos != bit_length:
-        raise DanglingBitsError(
-            f"decoded {pos} bits but payload declares {bit_length}"
-        )
-    return np.array(out, dtype=np.intp)
+        stop = stops[-1]
+        w = _windows(buf, words, starts >> 3, starts.view(np.uint64) & np.uint64(7))
+        g = np.searchsorted(group_first, w, "right") - 1
+        k = group_index[g] + ((w - group_first[g]) >> shift[g]).astype(np.intp)
+        out[s0 : s0 + starts.size] = ids[k]
+    if bit_length is not None and stop != bit_length:
+        raise DanglingBitsError(f"decoded {stop} bits but payload declares {bit_length}")
+    return out
 
 
 def _entry_dtype(g: int) -> np.dtype:
@@ -224,10 +287,7 @@ def _entry_dtype(g: int) -> np.dtype:
 def serialize_codebook(book: CodeBook) -> bytes:
     """Symbol count (u32 BE), then per symbol in canonical order:
     group_size signed 16-bit parts followed by one length byte."""
-    order = book.canonical_ids
-    lengths = np.array([book.lengths[book.symbols[i]] for i in order], dtype=np.int64)
-    if lengths.size and (lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH):
-        raise InvalidCodeLengthError("code length out of range")
+    order, lengths, _ = book.canonical
     entries = np.empty(len(order), _entry_dtype(book.group_size))
     entries["parts"] = _check_int16(book.rows[order])
     entries["length"] = lengths

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from hjpeg.entropy import BitExhaustionError, CodeBook, DanglingBitsError
+
 
 def round_half_away(x: float) -> int:
     """Round to nearest integer, ties away from zero."""
@@ -109,3 +111,38 @@ def fdct_reference(block) -> np.ndarray:
                     )
             out[i, j] = alpha[i] * alpha[j] * acc
     return out
+
+
+def decode_reference(data: bytes, book: CodeBook, symbol_count: int,
+                     bit_length: int | None = None) -> np.ndarray:
+    """Decode symbol ids by probing per-length tables of '0'/'1' code strings.
+
+    One symbol at a time, shortest length first; raises the same errors as
+    entropy.decode.
+    """
+    bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
+    by_len: dict[int, dict] = {}
+    for i, code in enumerate(book.codes.values()):
+        by_len.setdefault(len(code), {})[code] = i
+    tables = sorted(by_len.items())
+    out = []
+    pos = 0
+    for _ in range(symbol_count):
+        for length, table in tables:
+            # a slice cut short by the end of the data matches no code
+            i = table.get(bits[pos : pos + length])
+            if i is not None:
+                pos += length
+                out.append(i)
+                break
+        else:
+            raise BitExhaustionError("no code matches the remaining bits")
+        if bit_length is not None and pos > bit_length:
+            raise BitExhaustionError(
+                f"code ran past the declared payload bit length {bit_length}"
+            )
+    if bit_length is not None and pos != bit_length:
+        raise DanglingBitsError(
+            f"decoded {pos} bits but payload declares {bit_length}"
+        )
+    return np.array(out, dtype=np.intp)

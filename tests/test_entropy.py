@@ -10,6 +10,7 @@ from hjpeg import codec, entropy
 from hjpeg.codec import CodecConfig
 from hjpeg.image import generate_test_image
 from oracles import (
+    decode_reference,
     huffman_lengths_reference,
     is_prefix_free,
     kraft_sum_exact,
@@ -197,6 +198,56 @@ class TestBuildCodebook:
         assert book.kraft_sum == 1 - Fraction(1, 2**64)
 
 
+def pack(bits):
+    """A '0'/'1' string as MSB-first bytes, zero-padded to a whole byte."""
+    pad = -len(bits) % 8
+    return (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+
+
+def fibonacci_book(n):
+    """Huffman book over n Fibonacci counts: a chain n - 1 bits deep."""
+    counts = [1, 1]
+    while len(counts) < n:
+        counts.append(counts[-1] + counts[-2])
+    return entropy.build_codebook(dict(enumerate(counts[:n])))
+
+
+books = st.one_of(
+    st.lists(st.integers(1, 1000), min_size=1, max_size=40).map(
+        lambda counts: entropy.build_codebook(dict(enumerate(counts)))),
+    st.integers(1, 65).map(fibonacci_book),
+)
+
+
+@st.composite
+def decoder_inputs(draw):
+    """(payload, book, symbol_count, bit_length): valid, truncated, extended
+    by junk bits, or random bytes."""
+    book = draw(books)
+    ids = draw(st.lists(st.integers(0, len(book.lengths) - 1), max_size=60))
+    bits = bits_of(*entropy.encode(ids, book))
+    kind = draw(st.sampled_from(["valid", "truncated", "junk", "random"]))
+    if kind == "truncated":
+        bits = bits[: draw(st.integers(0, max(len(bits) - 1, 0)))]
+    elif kind == "junk":
+        bits += draw(st.text("01", min_size=1, max_size=80))
+    if kind == "random":
+        payload = draw(st.binary(max_size=40))
+        nbits = draw(st.integers(0, 8 * len(payload) + 16))
+        symbol_count = draw(st.integers(0, 100))
+    else:
+        payload, nbits = pack(bits), len(bits)
+        symbol_count = max(0, len(ids) + draw(st.integers(-2, 2)))
+    return payload, book, symbol_count, draw(st.sampled_from([None, nbits]))
+
+
+def decode_outcome(decoder, *args):
+    try:
+        return decoder(*args).tolist()
+    except entropy.EntropyError as exc:
+        return type(exc)
+
+
 def code_ids(seq, g=1):
     counts, ids, _ = entropy.group_symbols(seq, g)
     return entropy.build_codebook(counts, g), ids
@@ -262,6 +313,53 @@ class TestEncodeDecode:
         payload, nbits = entropy.encode(ids, book)
         decoded = entropy.decode(payload, book, len(ids), nbits)
         assert book.rows[decoded].reshape(-1)[: len(seq)].tolist() == seq
+
+    @settings(max_examples=400, deadline=None)
+    @given(decoder_inputs())
+    def test_matches_reference_decoder(self, args):
+        assert decode_outcome(entropy.decode, *args) == decode_outcome(decode_reference, *args)
+
+    def test_matches_reference_decoder_across_blocks(self):
+        book = fibonacci_book(20)
+        ids = np.random.default_rng(7).integers(0, 20, 3 * entropy._BLOCK + 5)
+        payload, nbits = entropy.encode(ids, book)
+        flipped = bytearray(payload)
+        flipped[len(payload) // 2] ^= 0x10
+        for args in [
+            (payload, book, len(ids), nbits),
+            (payload, book, len(ids) - 1, nbits),
+            (bytes(flipped), book, len(ids), nbits),
+            (payload[: len(payload) // 2], book, len(ids), None),
+        ]:
+            assert decode_outcome(entropy.decode, *args) == decode_outcome(decode_reference, *args)
+        assert entropy.decode(payload, book, len(ids), nbits).tolist() == ids.tolist()
+
+    def test_64_bit_codes_round_trip(self):
+        book = fibonacci_book(65)
+        deepest = [i for i, s in enumerate(book.symbols) if book.lengths[s] == 64]
+        assert len(deepest) == 2
+        ids = [64, 63, 7] + deepest  # the 64-bit codes end next to the byte padding
+        payload, nbits = entropy.encode(ids, book)
+        assert nbits % 8
+        data = entropy.serialize_codebook(book)
+        restored, _ = entropy.deserialize_codebook(data, 1)
+        for bit_length in (nbits, None):
+            assert entropy.decode(payload, restored, len(ids), bit_length).tolist() == ids
+
+    def test_symbol_count_beyond_the_bits_refused(self):
+        # refused before anything sized by the count is allocated
+        book = entropy.CodeBook({0: 1, 1: 1}, 1)
+        for bit_length in (None, 16, 1 << 40):
+            with pytest.raises(entropy.BitExhaustionError):
+                entropy.decode(b"\x00\x00", book, 2**32 - 1, bit_length)
+
+    @pytest.mark.parametrize("lengths", [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 65}])
+    def test_invalid_book_refused(self, lengths):
+        book = entropy.CodeBook(lengths, 1)
+        with pytest.raises(entropy.CodebookError):
+            entropy.decode(b"\x00", book, 1)
+        with pytest.raises(entropy.CodebookError):
+            entropy.encode([0], book)
 
 
 class TestCodebookSerialization:
