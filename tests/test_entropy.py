@@ -415,3 +415,18 @@ class TestCodebookSerialization:
         )
         with pytest.raises(entropy.KraftViolationError):
             entropy.deserialize_codebook(data, 1)
+
+    @pytest.mark.parametrize("entries", [
+        [(5, 2), (5, 2), (6, 2), (7, 2)],  # duplicate symbol, same length
+        [(5, 1), (5, 2), (6, 2)],  # duplicate symbol across lengths
+        [(1, 1), (3, 2), (2, 2)],  # two entries swapped within one length
+        [(1, 2), (2, 2), (3, 1)],  # a decreasing length
+    ], ids=["duplicate", "duplicate-across-lengths", "swapped", "decreasing-length"])
+    def test_order_and_duplicates_checked(self, entries):
+        # every case satisfies the Kraft equality, so only these checks refuse it
+        data = struct.pack(">I", len(entries)) + b"".join(
+            struct.pack(">hB", sym, length) for sym, length in entries
+        )
+        with pytest.raises(entropy.CodebookError) as excinfo:
+            entropy.deserialize_codebook(data, 1)
+        assert excinfo.type is entropy.CodebookError

@@ -1,15 +1,18 @@
-"""Byte fingerprints of the .hjpg output.
+"""Byte fingerprints of the .hjpg output and of the CLI's reports.
 
 Any change to the codec must keep the container bytes identical. The
 digests below pin ``compress_bytes`` for small synthetic images in every
 entropy mode, with DC differencing off and on; a refactor that changes a
-single code length, codebook entry or header byte fails here.
+single code length, codebook entry or header byte fails here. The ``bench``
+CSV and the ``inspect`` text are pinned too, so a change in how a metric's
+floats are summed shows as well.
 """
 
 import hashlib
 
 import pytest
 
+from hjpeg import cli
 from hjpeg.codec import CodecConfig, compress_bytes
 from hjpeg.image import generate_test_image
 
@@ -99,3 +102,68 @@ def test_container_bytes_unchanged(key):
     img = generate_test_image(kind, width, height, seed=1)
     cfg = CodecConfig(entropy_mode=entropy_mode, group_size=group_size, dc_diff=dc_diff)
     assert hashlib.sha256(compress_bytes(img, cfg)).hexdigest() == DIGESTS[key]
+
+
+# sha256 of `hjpeg bench` on the synthetic default corpus (group size 4)
+BENCH_CSV_DIGEST = "9d797b7eb60c0776d760e9f01316f35ab04cdfd48230e203cc25f559377f40f9"
+
+
+def test_bench_csv_unchanged(capsys):
+    assert cli.main(["bench"]) == cli.EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == BENCH_CSV_DIGEST
+
+
+# `hjpeg inspect` of the 64x48 seed-1 noise image, by mode
+INSPECT_TEXT = {
+    "scalar": """\
+mode: scalar
+group_size: 1
+dc_diff: 0
+original: 64x48
+padded: 64x48
+pad_count: 0
+symbol_count: 3072
+payload_bits: 9977
+codebook_symbols: 34
+code_length[2]: 2
+code_length[3]: 1
+code_length[4]: 2
+code_length[5]: 4
+code_length[6]: 4
+code_length[7]: 5
+code_length[8]: 2
+code_length[9]: 5
+code_length[10]: 4
+code_length[11]: 3
+code_length[12]: 2
+kraft_sum: 1
+""",
+    "g4": """\
+mode: reduced
+group_size: 4
+dc_diff: 0
+original: 64x48
+padded: 64x48
+pad_count: 0
+symbol_count: 768
+payload_bits: 6673
+codebook_symbols: 517
+code_length[6]: 4
+code_length[7]: 23
+code_length[8]: 35
+code_length[9]: 181
+code_length[10]: 274
+kraft_sum: 1
+""",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(INSPECT_TEXT))
+def test_inspect_text_unchanged(mode, tmp_path, capsys):
+    entropy_mode, group_size = MODES[mode]
+    img = generate_test_image("noise", 64, 48, seed=1)
+    packed = tmp_path / "in.hjpg"
+    packed.write_bytes(compress_bytes(img, CodecConfig(entropy_mode=entropy_mode,
+                                                       group_size=group_size)))
+    assert cli.main(["inspect", str(packed)]) == cli.EXIT_OK
+    assert capsys.readouterr().out == INSPECT_TEXT[mode]
