@@ -5,8 +5,9 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from collections import Counter
 from pathlib import Path
+
+import numpy as np
 
 from . import codec, container, entropy, metrics
 from .codec import CodecConfig
@@ -55,7 +56,7 @@ def _config(mode: str, group_size: int, dc_diff: bool) -> CodecConfig:
 def _report(name: str, img: Image, cfg: CodecConfig,
             file: container.CompressedFile, data: bytes,
             restored: Image) -> CompressionReport:
-    counts, _, _ = entropy.group_symbols(
+    _, _, counts, _ = entropy.group_symbols(
         codec.image_to_symbols(img, cfg), cfg.group_size
     )
     original_bits = img.width * img.height * 8
@@ -102,10 +103,9 @@ def cmd_inspect(args) -> int:
     print(f"pad_count: {file.pad_count}")
     print(f"symbol_count: {file.symbol_count}")
     print(f"payload_bits: {file.payload_bit_length}")
-    print(f"codebook_symbols: {len(book.lengths)}")
-    hist = Counter(book.lengths.values())
-    for length in sorted(hist):
-        print(f"code_length[{length}]: {hist[length]}")
+    print(f"codebook_symbols: {len(book.rows)}")
+    for length, count in zip(*np.unique(book.code_lengths, return_counts=True)):
+        print(f"code_length[{length}]: {count}")
     print(f"kraft_sum: {float(book.kraft_sum):g}")
     return EXIT_OK
 

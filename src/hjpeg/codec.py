@@ -61,10 +61,10 @@ def image_to_symbols(img: Image, cfg: CodecConfig) -> np.ndarray:
 def compress(img: Image, cfg: CodecConfig | None = None) -> CompressedFile:
     cfg = cfg or CodecConfig()
     padded_width, padded_height = container.padded_size(img.width, img.height)
-    counts, ids, pad_count = entropy.group_symbols(
+    rows, ids, counts, pad_count = entropy.group_symbols(
         image_to_symbols(img, cfg), cfg.group_size
     )
-    book = entropy.build_codebook(counts, cfg.group_size)
+    book = entropy.build_codebook(rows, counts)
     payload, bit_length = entropy.encode(ids, book)
     return CompressedFile(
         group_size=cfg.group_size,

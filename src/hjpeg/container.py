@@ -52,6 +52,10 @@ class TrailingDataError(ContainerError):
     """Bytes follow the payload."""
 
 
+class PayloadTooLargeError(ContainerError):
+    """Payload bit length that does not fit the u32 field."""
+
+
 def padded_size(width: int, height: int) -> tuple[int, int]:
     """Both sides rounded up to a multiple of 8, as the header stores them."""
     if width > MAX_DIMENSION or height > MAX_DIMENSION:
@@ -97,6 +101,8 @@ class CompressedFile:
             raise InvariantError("pad_count must be in [0, group_size)")
         if self.codebook.group_size != self.group_size:
             raise InvariantError("codebook group size disagrees with header")
+        if self.payload_bit_length >= 1 << 32:
+            raise PayloadTooLargeError("payload bit length does not fit a u32 field")
         if len(self.payload) != (self.payload_bit_length + 7) // 8:
             raise InvariantError("payload byte length disagrees with bit length")
         if self.symbol_count > self.payload_bit_length:

@@ -7,11 +7,12 @@ sequence g-fold). The coder works on ids into the sorted alphabet of the
 symbols present: the Huffman code is built over the per-id counts, and the
 payload concatenates the codes of the per-row ids.
 
-Codes are canonical, so a book is its lengths; CodeBook.canonical derives
-every code from them as a 64-bit left-justified first code. The decoder
-needs no per-symbol Python loop: it tables, for every bit position of the
-payload, where the code starting there ends, and walks that table 16
-symbols per step with a table composed from it by pointer jumping.
+A CodeBook is two arrays in id order, the alphabet rows and their code
+lengths; CodeBook.canonical derives every code from the lengths as a 64-bit
+left-justified first code. The encoder ORs the shifted codes into 64-bit
+words. The decoder tables, for every bit position of the payload, where the
+code starting there ends, and walks that table 16 symbols per step with a
+table composed from it by pointer jumping.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import numpy as np
 
 MAX_CODE_LENGTH = 64
 _BIAS = 0x8000  # maps an int16 part onto 0..0xFFFF, keeping its order
-_BLOCK = 1 << 14  # bit positions, or symbols, per block of the decoder's work
+_BLOCK = 1 << 14  # symbols, or bit positions, per block of the coder's work
 
 
 class EntropyError(ValueError):
@@ -61,13 +62,6 @@ class TruncatedCodebookError(CodebookError):
     """Serialized codebook ends before the declared symbol count."""
 
 
-def _symbol_keys(rows: np.ndarray) -> list:
-    """Codebook keys for alphabet rows: ints when g = 1, else g-tuples."""
-    if rows.shape[1] == 1:
-        return rows[:, 0].tolist()
-    return list(map(tuple, rows.tolist()))
-
-
 def _check_int16(rows: np.ndarray) -> np.ndarray:
     """rows unchanged, refusing any part that a 16-bit field would wrap."""
     if rows.size and (rows.min() < -_BIAS or rows.max() >= _BIAS):
@@ -75,12 +69,18 @@ def _check_int16(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def group_symbols(seq, g: int) -> tuple[dict, np.ndarray, int]:
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """A biased big-endian void key per row: bytewise, signed lexicographic order."""
+    return (_check_int16(rows) + _BIAS).astype(">u2").view(f"V{2 * rows.shape[1]}").reshape(-1)
+
+
+def group_symbols(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Cut a flat coefficient stream into g-wide rows and count the symbols.
 
-    Returns (counts, ids, pad_count): counts maps each distinct row, in
-    ascending order, to its number of occurrences; ids[i] is row i's index
-    into that order; pad_count < g zeros were appended to fill the last row.
+    Returns (rows, ids, counts, pad_count): rows is the (n, g) alphabet of
+    distinct rows in ascending order; ids[i] is row i's index into it;
+    counts[k] is how often rows[k] occurs; pad_count < g zeros were appended
+    to fill the last row.
     """
     if g < 1:
         raise ValueError(f"group size must be >= 1, got {g}")
@@ -89,33 +89,31 @@ def group_symbols(seq, g: int) -> tuple[dict, np.ndarray, int]:
         raise EntropyError("cannot code an empty sequence")
     pad_count = -seq.size % g
     rows = np.concatenate([seq, np.zeros(pad_count, np.int64)]).reshape(-1, g)
-    # A biased big-endian row compares bytewise in signed lexicographic order.
-    keys = (_check_int16(rows) + _BIAS).astype(">u2").view(f"V{2 * g}").reshape(-1)
-    alphabet, ids, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    alphabet = alphabet.view(">u2").astype(np.int64).reshape(-1, g) - _BIAS
-    return dict(zip(_symbol_keys(alphabet), counts.tolist())), ids, pad_count
+    keys, ids, counts = np.unique(_row_keys(rows), return_inverse=True, return_counts=True)
+    return keys.view(">u2").astype(np.int64).reshape(-1, g) - _BIAS, ids, counts, pad_count
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CodeBook:
-    """Canonical prefix code: codes are determined by lengths alone.
-
-    lengths maps each symbol (an int when group_size is 1, else a tuple of
-    group_size ints) to its code length. A symbol's id is its index in the
-    ascending alphabet `symbols`.
+    """Canonical prefix code as two arrays in id order: rows is the (n, g)
+    int64 alphabet in ascending order, and code_lengths[k] is the code length
+    of rows[k]. A symbol's id is its row index; the lengths determine the codes.
     """
 
-    lengths: dict = field(repr=False)
-    group_size: int = 1
+    rows: np.ndarray
+    code_lengths: np.ndarray = field(repr=False)
+
+    @property
+    def group_size(self) -> int:
+        return self.rows.shape[1]
 
     @cached_property
-    def symbols(self) -> list:
-        return sorted(self.lengths)
-
-    @cached_property
-    def rows(self) -> np.ndarray:
-        """The alphabet as an int64 array with one row of group_size parts per id."""
-        return np.array(self.symbols, dtype=np.int64).reshape(-1, self.group_size)
+    def lengths(self) -> dict:
+        """{symbol: length}, symbols being ints if group_size is 1, else tuples;
+        only for codecbench, as the codec works on the arrays."""
+        rows = self.rows.tolist()
+        symbols = [r[0] for r in rows] if self.group_size == 1 else map(tuple, rows)
+        return dict(zip(symbols, self.code_lengths.tolist()))
 
     @cached_property
     def canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -125,7 +123,7 @@ class CodeBook:
         prefix sum of 2**(64 - length); uint64 holds it exactly because the
         Kraft sum is at most 1, which is checked here.
         """
-        lengths = np.array([self.lengths[s] for s in self.symbols], dtype=np.int64)
+        lengths = self.code_lengths.astype(np.int64)
         if lengths.size and (lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH):
             raise InvalidCodeLengthError("code length out of range")
         if self.kraft_sum > 1:
@@ -136,17 +134,10 @@ class CodeBook:
         return ids, lengths, np.cumsum(span) - span
 
     @cached_property
-    def codes(self) -> dict:
-        """Symbol -> canonical code as a '0'/'1' string, MSB first, in id order."""
-        codes = dict.fromkeys(self.symbols)
-        for i, length, first in zip(*(a.tolist() for a in self.canonical)):
-            codes[self.symbols[i]] = format(first >> (MAX_CODE_LENGTH - length), f"0{length}b")
-        return codes
-
-    @cached_property
     def kraft_sum(self) -> Fraction:
         """Exact sum of 2**-length over the alphabet; 1 for a complete code."""
-        total = sum(1 << (MAX_CODE_LENGTH - l) for l in self.lengths.values())
+        lengths, hist = (a.tolist() for a in np.unique(self.code_lengths, return_counts=True))
+        total = sum(h << (MAX_CODE_LENGTH - l) for l, h in zip(lengths, hist))
         return Fraction(total, 1 << MAX_CODE_LENGTH)
 
 
@@ -177,23 +168,41 @@ def huffman_code_lengths(counts) -> list[int]:
     return depth[:n]
 
 
-def build_codebook(counts: dict, group_size: int = 1) -> CodeBook:
-    """Huffman code over {symbol: count}."""
-    symbols = sorted(counts)
-    lengths = huffman_code_lengths([counts[s] for s in symbols])
-    return CodeBook(dict(zip(symbols, lengths)), group_size)
+def build_codebook(rows: np.ndarray, counts) -> CodeBook:
+    """Huffman code over the alphabet rows, with counts[k] occurrences of rows[k]."""
+    lengths = huffman_code_lengths(np.asarray(counts).tolist())
+    return CodeBook(rows, np.array(lengths, np.int64))
 
 
 def encode(ids, book: CodeBook) -> tuple[bytes, int]:
-    """Concatenate MSB-first codes of symbol ids; returns (payload, bit length)."""
+    """Concatenate MSB-first codes of symbol ids; returns (payload, bit length).
+
+    Each left-justified code is shifted to its bit offset within a 64-bit
+    word and OR-reduced with the codes sharing that word; a code crossing
+    into the next word ORs its low bits there. Blocks of _BLOCK symbols.
+    """
     ids = np.asarray(ids, dtype=np.intp)
-    if ids.size and (ids.min() < 0 or ids.max() >= len(book.symbols)):
+    if ids.size and (ids.min() < 0 or ids.max() >= len(book.rows)):
         raise UnknownSymbolError("symbol id not in codebook")
-    codes = np.array(list(book.codes.values()), dtype=object)
-    bits = "".join(codes[ids].tolist())
-    pad = -len(bits) % 8
-    payload = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
-    return payload, len(bits)
+    order, _, first = book.canonical
+    codes = first[np.argsort(order)]  # in id order
+    lengths = book.code_lengths.astype(np.int64)
+    total = int(lengths[ids].sum())
+    words = np.zeros(total // 64 + 1, np.uint64)
+    end = 0
+    for s0 in range(0, ids.size, _BLOCK):
+        block = ids[s0 : s0 + _BLOCK]
+        size = lengths[block]
+        ends = np.cumsum(size) + end
+        starts = ends - size
+        end = int(ends[-1])
+        word, shift = starts >> 6, (starts & 63).astype(np.uint64)
+        code = codes[block]
+        heads = np.flatnonzero(np.diff(word, prepend=-1))  # first code in each word
+        words[word[heads]] |= np.bitwise_or.reduceat(code >> shift, heads)
+        cross = (ends - 1) >> 6 != word  # so shift >= 1, as no code exceeds 64 bits
+        words[word[cross] + 1] |= code[cross] << (np.uint64(64) - shift[cross])
+    return words.astype(">u8").tobytes()[: (total + 7) // 8], total
 
 
 def _windows(buf: np.ndarray, words: np.ndarray, byte: np.ndarray,
@@ -299,8 +308,10 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
 
     Codes are reassigned canonically from the stored lengths, so the result
     is bit-identical to the encoder's book. Validates length range, canonical
-    ordering, and the Kraft equality.
+    ordering, distinct symbols, and the Kraft equality.
     """
+    if group_size < 1:
+        raise CodebookError(f"group size must be >= 1, got {group_size}")
     if len(data) < 4:
         raise TruncatedCodebookError("codebook shorter than its count field")
     (n,) = struct.unpack_from(">I", data)
@@ -313,15 +324,18 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
         raise TruncatedCodebookError(
             f"codebook declares {n} symbols but only {fit} fit")
     entries = np.frombuffer(data, entry, count=n, offset=4)
-    lengths = entries["length"].tolist()
-    if min(lengths) < 1 or max(lengths) > MAX_CODE_LENGTH:
+    lengths = entries["length"].astype(np.int64)
+    if lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH:
         raise InvalidCodeLengthError("code length out of range")
-    order = list(zip(lengths, _symbol_keys(entries["parts"])))
-    book = CodeBook({sym: length for length, sym in order}, group_size)
-    if len(book.lengths) != n:
+    rows = entries["parts"].astype(np.int64)
+    by_symbol = np.argsort(_row_keys(rows), kind="stable")  # entry index of each id
+    rows = rows[by_symbol]
+    if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise CodebookError("duplicate symbol in codebook")
-    if order != sorted(order):
+    step, id_step = np.diff(lengths), np.diff(np.argsort(by_symbol))  # id of each entry
+    if ((step < 0) | ((step == 0) & (id_step < 0))).any():  # not by (length, symbol)
         raise CodebookError("codebook entries not in canonical order")
+    book = CodeBook(rows, lengths[by_symbol])
     if n >= 2 and book.kraft_sum != 1:
         raise KraftViolationError(f"Kraft sum {book.kraft_sum} != 1")
     if n == 1 and lengths[0] != 1:

@@ -11,21 +11,21 @@ from .entropy import CodeBook, UnknownSymbolError
 from .image import Image
 
 
-def empirical_entropy(counts: dict) -> float:
-    """First-order entropy in bits/symbol of the {symbol: count} distribution."""
+def empirical_entropy(counts) -> float:
+    """First-order entropy in bits/symbol of a distribution given by its counts."""
+    counts = np.asarray(counts).tolist()
     if not counts:
         raise ValueError("empty frequency table")
-    total = sum(counts.values())
-    return -sum((c / total) * math.log2(c / total) for c in counts.values())
+    total = sum(counts)
+    return -sum((c / total) * math.log2(c / total) for c in counts)
 
 
-def average_code_length(book: CodeBook, counts: dict) -> float:
-    """Expected code length in bits under the {symbol: count} distribution."""
-    try:
-        weighted = sum(book.lengths[sym] * count for sym, count in counts.items())
-    except KeyError as exc:
-        raise UnknownSymbolError(f"symbol {exc.args[0]!r} not in codebook") from None
-    return weighted / sum(counts.values())
+def average_code_length(book: CodeBook, counts) -> float:
+    """Expected code length in bits when id k occurs counts[k] times."""
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.shape != book.code_lengths.shape:
+        raise UnknownSymbolError("counts and codebook cover different alphabets")
+    return int(counts @ book.code_lengths) / int(counts.sum())
 
 
 def compression_ratio(original_bits: int, compressed_bits: int) -> float:

@@ -22,31 +22,11 @@ DEFAULT_QUANT_TABLE = np.array(
 BLOCK_COEFFS = 64
 
 
-def _zigzag_positions() -> list[tuple[int, int]]:
-    """(row, col) positions of the standard zigzag scan over an 8x8 grid."""
-    order = []
-    row = col = 0
-    for _ in range(BLOCK_COEFFS):
-        order.append((row, col))
-        if (row + col) % 2 == 0:  # moving up-right
-            if col == 7:
-                row += 1
-            elif row == 0:
-                col += 1
-            else:
-                row -= 1
-                col += 1
-        else:  # moving down-left
-            if row == 7:
-                col += 1
-            elif col == 0:
-                row += 1
-            else:
-                row += 1
-                col -= 1
-    return order
-
-ZIGZAG_POSITIONS = _zigzag_positions()
+# (row, col) positions of the standard zigzag scan over an 8x8 grid: by
+# anti-diagonal, running up-right (by column) on even ones and down-left (by
+# row) on odd ones.
+ZIGZAG_POSITIONS = sorted(((r, c) for r in range(8) for c in range(8)),
+                          key=lambda p: (sum(p), p[0] if sum(p) % 2 else p[1]))
 # Flat raster index (row * 8 + col) of each scan position.
 ZIGZAG_INDEX = np.array([r * 8 + c for r, c in ZIGZAG_POSITIONS])
 INVERSE_ZIGZAG_INDEX = np.argsort(ZIGZAG_INDEX)

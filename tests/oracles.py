@@ -1,4 +1,5 @@
-"""Independent brute-force oracles kept separate from the code they check."""
+"""Independent brute-force oracles, and small builders of test inputs, kept
+separate from the code they check."""
 
 from __future__ import annotations
 
@@ -8,7 +9,12 @@ from fractions import Fraction
 
 import numpy as np
 
-from hjpeg.entropy import BitExhaustionError, CodeBook, DanglingBitsError
+from hjpeg.entropy import (
+    BitExhaustionError,
+    CodeBook,
+    DanglingBitsError,
+    UnknownSymbolError,
+)
 
 
 def round_half_away(x: float) -> int:
@@ -113,6 +119,64 @@ def fdct_reference(block) -> np.ndarray:
     return out
 
 
+def huge_payload(bits: int):
+    """Stands in for a payload of `bits` bits without allocating it."""
+    class Huge:
+        def __len__(self):
+            return (bits + 7) // 8
+    return Huge()
+
+
+def by_symbol(mapping: dict) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values) of a {symbol: value} dict whose symbols are ints or
+    g-tuples: the symbols as ascending (n, g) int64 rows, and their values in
+    that order."""
+    symbols = sorted(mapping)
+    rows = np.array(symbols, dtype=np.int64).reshape(len(symbols), -1)
+    return rows, np.array([mapping[s] for s in symbols], dtype=np.int64)
+
+
+def book_of(lengths: dict) -> CodeBook:
+    """CodeBook from a {symbol: code length} dict."""
+    return CodeBook(*by_symbol(lengths))
+
+
+def canonical_codes_reference(lengths) -> list[int]:
+    """Canonical code of each id, by the classic running-code loop.
+
+    Ids are visited by length, then id; the running code is incremented
+    after each one and shifted left by every step in length.
+    """
+    codes = [0] * len(lengths)
+    code = 0
+    prev = 0
+    for i in sorted(range(len(lengths)), key=lambda i: (lengths[i], i)):
+        code <<= lengths[i] - prev
+        prev = lengths[i]
+        codes[i] = code
+        code += 1
+    return codes
+
+
+def code_strings(book: CodeBook) -> list[str]:
+    """Each id's canonical code as a '0'/'1' string, MSB first."""
+    lengths = book.code_lengths.tolist()
+    return [format(code, f"0{length}b")
+            for code, length in zip(canonical_codes_reference(lengths), lengths)]
+
+
+def encode_reference(ids, book: CodeBook) -> tuple[bytes, int]:
+    """Join the ids' code strings and pack them MSB first; (payload, bit length)."""
+    codes = code_strings(book)
+    ids = list(ids)
+    if any(not 0 <= i < len(codes) for i in ids):
+        raise UnknownSymbolError("symbol id not in codebook")
+    bits = "".join(codes[i] for i in ids)
+    pad = -len(bits) % 8
+    payload = (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
+    return payload, len(bits)
+
+
 def decode_reference(data: bytes, book: CodeBook, symbol_count: int,
                      bit_length: int | None = None) -> np.ndarray:
     """Decode symbol ids by probing per-length tables of '0'/'1' code strings.
@@ -122,7 +186,7 @@ def decode_reference(data: bytes, book: CodeBook, symbol_count: int,
     """
     bits = format(int.from_bytes(data, "big"), f"0{8 * len(data)}b") if data else ""
     by_len: dict[int, dict] = {}
-    for i, code in enumerate(book.codes.values()):
+    for i, code in enumerate(code_strings(book)):
         by_len.setdefault(len(code), {})[code] = i
     tables = sorted(by_len.items())
     out = []

@@ -19,7 +19,7 @@ from golden import GOLDEN_BLOCK, GOLDEN_DCT, GOLDEN_DCT_MISPRINTS
 from hjpeg import cli, codec, container, entropy, metrics, quantize, transform
 from hjpeg.codec import CodecConfig
 from hjpeg.image import generate_test_image, read_pgm
-from oracles import is_prefix_free, kraft_sum_exact, quantize_oracle
+from oracles import code_strings, is_prefix_free, kraft_sum_exact, quantize_oracle
 
 STANDARD_CORPUS = Path(__file__).parent / "data" / "standard"
 
@@ -41,9 +41,9 @@ def criterion(number, description):
 
 
 def check_book(book):
-    assert kraft_sum_exact(book.lengths.values()) == 1 or len(book.lengths) == 1
+    assert kraft_sum_exact(book.code_lengths.tolist()) == 1 or len(book.rows) == 1
     assert is_prefix_free(
-        {s: (int(book.codes[s], 2), book.lengths[s]) for s in book.lengths}
+        {i: (int(code, 2), len(code)) for i, code in enumerate(code_strings(book))}
     )
 
 
@@ -108,8 +108,8 @@ def test_criterion_4_entropy_fuzz():
     for n in lengths:
         seq = rng.integers(-2047, 2048, size=n).tolist()
         for g in (1, 2, 4, 8):
-            counts, ids, _ = entropy.group_symbols(seq, g)
-            book = entropy.build_codebook(counts, g)
+            rows, ids, counts, _ = entropy.group_symbols(seq, g)
+            book = entropy.build_codebook(rows, counts)
             check_book(book)
             payload, nbits = entropy.encode(ids, book)
             decoded = entropy.decode(payload, book, len(ids), nbits)
@@ -118,14 +118,14 @@ def test_criterion_4_entropy_fuzz():
 
 @criterion(5, "grouping arithmetic and the two-tuple worked example")
 def test_criterion_5_reduction_arithmetic():
-    _, ids, pad = entropy.group_symbols(list(range(64)), 4)
+    _, ids, _, pad = entropy.group_symbols(list(range(64)), 4)
     assert len(ids) == 16 and pad == 0
 
-    counts, _, _ = entropy.group_symbols([1, 2, 3, 4, 5, 6, 7, 8], 4)
-    assert counts == {(1, 2, 3, 4): 1, (5, 6, 7, 8): 1}
-    book = entropy.build_codebook(counts, 4)
-    assert set(book.lengths.values()) == {1}
-    assert sorted(book.codes.values()) == ["0", "1"]
+    rows, _, counts, _ = entropy.group_symbols([1, 2, 3, 4, 5, 6, 7, 8], 4)
+    assert rows.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]] and counts.tolist() == [1, 1]
+    book = entropy.build_codebook(rows, counts)
+    assert book.code_lengths.tolist() == [1, 1]
+    assert code_strings(book) == ["0", "1"]
     assert metrics.average_code_length(book, counts) == 1.0
 
 

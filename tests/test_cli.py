@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hjpeg import cli, codec
 from hjpeg.codec import CodecConfig
 from hjpeg.image import generate_test_image, read_pgm, write_pgm
+from oracles import huge_payload
 
 
 def write_image(path, kind="gradient", w=32, h=24, seed=0):
@@ -56,6 +57,22 @@ class TestCompressCommand:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: image-too-large:")
         assert not out.exists()
+
+    def test_payload_too_large(self, tmp_path, capsys, monkeypatch):
+        # the payload bit length does not fit the container's u32 field
+        compress = codec.compress
+
+        def huge(img, cfg):
+            file = compress(img, cfg)
+            file.payload, file.payload_bit_length = huge_payload(1 << 32), 1 << 32
+            return file
+
+        monkeypatch.setattr(codec, "compress", huge)
+        src = write_image(tmp_path / "in.pgm")
+        rc = cli.main(["compress", src, str(tmp_path / "o.hjpg")])
+        assert rc == cli.EXIT_FORMAT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: payload-too-large:")
 
 
 class TestDecompressCommand:

@@ -8,6 +8,7 @@ from hjpeg.container import (
     ContainerError,
     ImageTooLargeError,
     InvariantError,
+    PayloadTooLargeError,
     TrailingDataError,
     TruncatedFileError,
     UnsupportedVersionError,
@@ -15,6 +16,7 @@ from hjpeg.container import (
     serialize,
 )
 from hjpeg.quantize import default_quant_table
+from oracles import book_of, huge_payload
 
 
 def random_file(rng) -> CompressedFile:
@@ -22,8 +24,8 @@ def random_file(rng) -> CompressedFile:
     n = int(rng.integers(1, 50))
     symbols = rng.integers(-2047, 2048, size=(n, g))
     stream = np.array([symbols[int(rng.integers(0, n))] for _ in range(200)])
-    counts, ids, _ = entropy.group_symbols(stream.reshape(-1), g)
-    book = entropy.build_codebook(counts, g)
+    rows, ids, counts, _ = entropy.group_symbols(stream.reshape(-1), g)
+    book = entropy.build_codebook(rows, counts)
     payload, nbits = entropy.encode(ids, book)
     bw = int(rng.integers(1, 5)) * 8
     bh = int(rng.integers(1, 5)) * 8
@@ -72,7 +74,7 @@ class TestRoundTrip:
         f = random_file(np.random.default_rng(10))
         f.group_size = 4
         f.pad_count = 0
-        f.codebook = entropy.CodeBook({(0, 0, 0, 0): 1}, 4)
+        f.codebook = book_of({(0, 0, 0, 0): 1})
         f.dc_diff = True
         f.symbol_count = 3
         f.payload = b"\x00"
@@ -140,6 +142,15 @@ class TestCorruption:
         data[16:20] = (bits + 1).to_bytes(4, "big")  # symbol count
         with pytest.raises(InvariantError):
             deserialize(bytes(data))
+
+    def test_payload_bit_length_beyond_u32_rejected(self):
+        # a stub whose length matches 2**32 bits, so only the field width is wrong
+        f = random_file(np.random.default_rng(13))
+        f.payload = huge_payload(1 << 32)
+        f.payload_bit_length = 1 << 32
+        with pytest.raises(PayloadTooLargeError) as info:
+            serialize(f)
+        assert not isinstance(info.value, InvariantError)
 
     def test_trailing_bytes_rejected(self, sample):
         with pytest.raises(TrailingDataError) as info:

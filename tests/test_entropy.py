@@ -10,7 +10,12 @@ from hjpeg import codec, entropy
 from hjpeg.codec import CodecConfig
 from hjpeg.image import generate_test_image
 from oracles import (
+    book_of,
+    by_symbol,
+    canonical_codes_reference,
+    code_strings,
     decode_reference,
+    encode_reference,
     huffman_lengths_reference,
     is_prefix_free,
     kraft_sum_exact,
@@ -29,24 +34,25 @@ def bits_of(payload, nbits):
 
 def expand(seq, g):
     """Group, build a book and map the ids back to a flat stream, as the codec does."""
-    counts, ids, pad = entropy.group_symbols(seq, g)
-    book = entropy.build_codebook(counts, g)
+    rows, ids, counts, pad = entropy.group_symbols(seq, g)
+    book = entropy.build_codebook(rows, counts)
     return book.rows[ids].reshape(-1)[: len(ids) * g - pad].tolist()
 
 
 class TestReduceSymbols:
     def test_worked_example(self):
-        counts, ids, pad = entropy.group_symbols([A, B, C, D, E, F, G, H], 4)
-        assert counts == {(A, B, C, D): 1, (E, F, G, H): 1}
+        rows, ids, counts, pad = entropy.group_symbols([A, B, C, D, E, F, G, H], 4)
+        assert rows.tolist() == [[A, B, C, D], [E, F, G, H]]
+        assert counts.tolist() == [1, 1]
         assert ids.tolist() == [0, 1] and pad == 0
 
     def test_block_of_64_gives_16(self):
-        counts, ids, pad = entropy.group_symbols(list(range(64)), 4)
-        assert len(ids) == 16 and len(counts) == 16 and pad == 0
+        rows, ids, counts, pad = entropy.group_symbols(list(range(64)), 4)
+        assert len(ids) == 16 and rows.shape == (16, 4) and len(counts) == 16 and pad == 0
 
     def test_padding(self):
-        counts, ids, pad = entropy.group_symbols([5, 7], 4)
-        assert counts == {(5, 7, 0, 0): 1} and pad == 2
+        rows, ids, counts, pad = entropy.group_symbols([5, 7], 4)
+        assert rows.tolist() == [[5, 7, 0, 0]] and counts.tolist() == [1] and pad == 2
 
     def test_empty_rejected(self):
         with pytest.raises(entropy.EntropyError):
@@ -60,8 +66,9 @@ class TestReduceSymbols:
             entropy.group_symbols([1, 2], 0)
 
     def test_scalar_symbols_are_ints(self):
-        counts, ids, pad = entropy.group_symbols([3, -1, 3], 1)
-        assert counts == {-1: 1, 3: 2} and ids.tolist() == [1, 0, 1] and pad == 0
+        rows, ids, counts, pad = entropy.group_symbols([3, -1, 3], 1)
+        assert rows.tolist() == [[-1], [3]] and counts.tolist() == [1, 2]
+        assert ids.tolist() == [1, 0, 1] and pad == 0
 
     @settings(max_examples=100)
     @given(
@@ -69,15 +76,13 @@ class TestReduceSymbols:
         g=st.sampled_from([1, 2, 3, 4, 8]),
     )
     def test_alphabet_in_ascending_symbol_order(self, seq, g):
-        counts, ids, pad = entropy.group_symbols(seq, g)
+        alphabet, ids, counts, pad = entropy.group_symbols(seq, g)
         padded = seq + [0] * pad
-        rows = [tuple(padded[i : i + g]) for i in range(0, len(padded), g)]
-        if g == 1:
-            rows = [r[0] for r in rows]
-        alphabet = sorted(set(rows))
-        assert list(counts) == alphabet
-        assert [alphabet[i] for i in ids.tolist()] == rows
-        assert list(counts.values()) == [rows.count(s) for s in alphabet]
+        rows = [padded[i : i + g] for i in range(0, len(padded), g)]
+        expected = sorted(map(list, set(map(tuple, rows))))
+        assert alphabet.tolist() == expected
+        assert [expected[i] for i in ids.tolist()] == rows
+        assert counts.tolist() == [rows.count(s) for s in expected]
 
     @pytest.mark.parametrize("part", [32768, -32769, 1 << 32])
     def test_part_outside_int16_rejected(self, part):
@@ -110,17 +115,17 @@ class TestExpandSymbols:
 
 class TestSymbolCounts:
     def test_counts(self):
-        counts, _, _ = entropy.group_symbols([2, 2, 1], 1)
-        assert counts == {1: 1, 2: 2} and sum(counts.values()) == 3
+        rows, _, counts, _ = entropy.group_symbols([2, 2, 1], 1)
+        assert rows.tolist() == [[1], [2]] and counts.tolist() == [1, 2]
 
     def test_equiprobable_eighths(self):
-        counts, _, _ = entropy.group_symbols(list(range(8)), 1)
-        assert all(counts[s] / 8 == 0.125 for s in range(8))
+        _, _, counts, _ = entropy.group_symbols(list(range(8)), 1)
+        assert all(c / 8 == 0.125 for c in counts.tolist()) and len(counts) == 8
 
     def test_composite_halves(self):
-        counts, _, _ = entropy.group_symbols([A, B, C, D, E, F, G, H], 4)
-        assert len(counts) == 2
-        assert counts[(A, B, C, D)] / sum(counts.values()) == 0.5
+        rows, _, counts, _ = entropy.group_symbols([A, B, C, D, E, F, G, H], 4)
+        assert len(counts) == 2 and rows[0].tolist() == [A, B, C, D]
+        assert counts[0] / counts.sum() == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(entropy.EntropyError):
@@ -129,34 +134,30 @@ class TestSymbolCounts:
 
 class TestBuildCodebook:
     def test_two_symbols(self):
-        counts, _, _ = entropy.group_symbols([A, B, C, D, E, F, G, H], 4)
-        book = entropy.build_codebook(counts, 4)
-        assert set(book.lengths.values()) == {1}
-        assert sorted(book.codes.values()) == ["0", "1"]
+        book = entropy.build_codebook(*by_symbol({(A, B, C, D): 1, (E, F, G, H): 1}))
+        assert book.group_size == 4 and book.code_lengths.tolist() == [1, 1]
+        assert code_strings(book) == ["0", "1"]
 
     def test_skewed_counts(self):
-        counts = {"a": 8, "b": 4, "c": 2, "d": 1, "e": 1}
-        book = entropy.build_codebook(counts)
-        assert book.lengths == {"a": 1, "b": 2, "c": 3, "d": 4, "e": 4}
-        cost = sum(book.lengths[s] * c for s, c in counts.items())
-        assert cost == 30
-        assert min_prefix_code_cost(list(counts.values())) == 30
+        counts = [8, 4, 2, 1, 1]
+        book = entropy.build_codebook(np.arange(5).reshape(-1, 1), counts)
+        assert book.code_lengths.tolist() == [1, 2, 3, 4, 4]
+        assert int(book.code_lengths @ counts) == 30
+        assert min_prefix_code_cost(counts) == 30
 
     def test_single_symbol(self):
-        book = entropy.build_codebook({9: 3})
-        assert book.lengths == {9: 1} and book.codes == {9: "0"}
+        book = entropy.build_codebook(np.array([[9]]), [3])
+        assert book.code_lengths.tolist() == [1] and code_strings(book) == ["0"]
 
     def test_equiprobable_eight_is_uniform(self):
-        book = entropy.build_codebook(dict.fromkeys(range(8), 1))
-        assert set(book.lengths.values()) == {3}
+        book = entropy.build_codebook(np.arange(8).reshape(-1, 1), [1] * 8)
+        assert book.code_lengths.tolist() == [3] * 8
 
     def test_deterministic_ties(self):
         seq = [3, 1, 2, 0] * 5
-        books = [
-            entropy.build_codebook(entropy.group_symbols(seq, 1)[0])
-            for _ in range(3)
-        ]
-        assert books[0].codes == books[1].codes == books[2].codes
+        books = [code_ids(seq)[0] for _ in range(3)]
+        assert all(np.array_equal(b.canonical[2], books[0].canonical[2]) for b in books)
+        assert all(np.array_equal(b.code_lengths, books[0].code_lengths) for b in books)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -166,7 +167,7 @@ class TestBuildCodebook:
         )
     )
     def test_ties_go_to_the_smallest_symbol(self, counts):
-        book = entropy.build_codebook(counts, 2)
+        book = entropy.build_codebook(*by_symbol(counts))
         assert book.lengths == huffman_lengths_reference(counts)
 
     def test_optimal_small_alphabets(self):
@@ -174,9 +175,8 @@ class TestBuildCodebook:
         for _ in range(30):
             n = int(rng.integers(2, 9))
             counts = rng.integers(1, 50, size=n).tolist()
-            book = entropy.build_codebook(dict(enumerate(counts)))
-            cost = sum(book.lengths[s] * c for s, c in enumerate(counts))
-            assert cost == min_prefix_code_cost(counts)
+            book = entropy.build_codebook(np.arange(n).reshape(-1, 1), counts)
+            assert int(book.code_lengths @ counts) == min_prefix_code_cost(counts)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -186,15 +186,24 @@ class TestBuildCodebook:
         )
     )
     def test_prefix_free_and_kraft(self, counts):
-        book = entropy.build_codebook(counts)
-        assert kraft_sum_exact(book.lengths.values()) == 1
+        book = entropy.build_codebook(*by_symbol(counts))
+        assert kraft_sum_exact(book.code_lengths.tolist()) == 1
         assert book.kraft_sum == 1
         assert is_prefix_free(
-            {s: (int(book.codes[s], 2), book.lengths[s]) for s in book.lengths}
+            {i: (int(code, 2), len(code)) for i, code in enumerate(code_strings(book))}
         )
+        ids, lengths, first = book.canonical
+        codes = canonical_codes_reference(book.code_lengths.tolist())
+        assert (first >> (64 - lengths).astype(np.uint64)).tolist() == [codes[i] for i in ids]
+
+    def test_lengths_view(self):
+        # {symbol: length} with int symbols for g = 1 and tuples otherwise
+        assert book_of({-3: 1, 7: 1}).lengths == {-3: 1, 7: 1}
+        book = book_of({(0, 1): 2, (0, 2): 2, (1, -1): 1})
+        assert book.lengths == {(0, 1): 2, (0, 2): 2, (1, -1): 1}
 
     def test_kraft_sum_is_exact(self):
-        book = entropy.CodeBook({s: s for s in range(1, 65)}, 1)
+        book = book_of({s: s for s in range(1, 65)})
         assert book.kraft_sum == 1 - Fraction(1, 2**64)
 
 
@@ -209,12 +218,12 @@ def fibonacci_book(n):
     counts = [1, 1]
     while len(counts) < n:
         counts.append(counts[-1] + counts[-2])
-    return entropy.build_codebook(dict(enumerate(counts[:n])))
+    return entropy.build_codebook(np.arange(n).reshape(-1, 1), counts[:n])
 
 
 books = st.one_of(
     st.lists(st.integers(1, 1000), min_size=1, max_size=40).map(
-        lambda counts: entropy.build_codebook(dict(enumerate(counts)))),
+        lambda counts: entropy.build_codebook(np.arange(len(counts)).reshape(-1, 1), counts)),
     st.integers(1, 65).map(fibonacci_book),
 )
 
@@ -224,7 +233,7 @@ def decoder_inputs(draw):
     """(payload, book, symbol_count, bit_length): valid, truncated, extended
     by junk bits, or random bytes."""
     book = draw(books)
-    ids = draw(st.lists(st.integers(0, len(book.lengths) - 1), max_size=60))
+    ids = draw(st.lists(st.integers(0, len(book.rows) - 1), max_size=60))
     bits = bits_of(*entropy.encode(ids, book))
     kind = draw(st.sampled_from(["valid", "truncated", "junk", "random"]))
     if kind == "truncated":
@@ -241,6 +250,20 @@ def decoder_inputs(draw):
     return payload, book, symbol_count, draw(st.sampled_from([None, nbits]))
 
 
+@st.composite
+def encoder_inputs(draw):
+    """(ids, book): a few ids, some that may be out of range, or enough
+    ids to span several blocks."""
+    book = draw(books)
+    n = len(book.rows)
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(-1, n), max_size=200)), book
+    size = draw(st.sampled_from([entropy._BLOCK - 1, entropy._BLOCK + 1,
+                                 2 * entropy._BLOCK + 33]))
+    ids = np.random.default_rng(draw(st.integers(0, 2**32))).integers(0, n, size)
+    return ids, book
+
+
 def decode_outcome(decoder, *args):
     try:
         return decoder(*args).tolist()
@@ -249,8 +272,8 @@ def decode_outcome(decoder, *args):
 
 
 def code_ids(seq, g=1):
-    counts, ids, _ = entropy.group_symbols(seq, g)
-    return entropy.build_codebook(counts, g), ids
+    rows, ids, counts, _ = entropy.group_symbols(seq, g)
+    return entropy.build_codebook(rows, counts), ids
 
 
 class TestEncodeDecode:
@@ -263,7 +286,7 @@ class TestEncodeDecode:
         assert book.rows[decoded].tolist() == [[A, B, C, D], [E, F, G, H]]
 
     def test_degenerate_alphabet(self):
-        book = entropy.CodeBook({9: 1}, 1)
+        book = book_of({9: 1})
         payload, nbits = entropy.encode([0, 0, 0], book)
         assert nbits == 3 and bits_of(payload, nbits) == "000"
         assert entropy.decode(payload, book, 3, nbits).tolist() == [0] * 3
@@ -271,7 +294,7 @@ class TestEncodeDecode:
             entropy.decode(b"", book, 1)
 
     def test_manual_book(self):
-        book = entropy.CodeBook({10: 1, 20: 2}, 1)
+        book = book_of({10: 1, 20: 2})
         payload, nbits = entropy.encode([0, 1, 0], book)
         assert nbits == 4 and bits_of(payload, nbits) == "0100"
         assert entropy.decode(payload, book, 3, nbits).tolist() == [0, 1, 0]
@@ -334,9 +357,28 @@ class TestEncodeDecode:
             assert decode_outcome(entropy.decode, *args) == decode_outcome(decode_reference, *args)
         assert entropy.decode(payload, book, len(ids), nbits).tolist() == ids.tolist()
 
+    @settings(max_examples=200, deadline=None)
+    @given(encoder_inputs())
+    def test_matches_reference_encoder(self, args):
+        def outcome(encoder):
+            try:
+                return encoder(*args)
+            except entropy.EntropyError as exc:
+                return type(exc)
+        assert outcome(entropy.encode) == outcome(encode_reference)
+
+    def test_64_bit_code_at_every_word_offset(self):
+        # a 1-bit code shifts a 64-bit code through every offset in a word
+        book = fibonacci_book(65)
+        short = int(np.argmin(book.code_lengths))
+        deep = int(np.argmax(book.code_lengths))
+        for k in range(130):
+            ids = [short] * k + [deep, short, deep]
+            assert entropy.encode(ids, book) == encode_reference(ids, book)
+
     def test_64_bit_codes_round_trip(self):
         book = fibonacci_book(65)
-        deepest = [i for i, s in enumerate(book.symbols) if book.lengths[s] == 64]
+        deepest = np.flatnonzero(book.code_lengths == 64).tolist()
         assert len(deepest) == 2
         ids = [64, 63, 7] + deepest  # the 64-bit codes end next to the byte padding
         payload, nbits = entropy.encode(ids, book)
@@ -348,14 +390,14 @@ class TestEncodeDecode:
 
     def test_symbol_count_beyond_the_bits_refused(self):
         # refused before anything sized by the count is allocated
-        book = entropy.CodeBook({0: 1, 1: 1}, 1)
+        book = book_of({0: 1, 1: 1})
         for bit_length in (None, 16, 1 << 40):
             with pytest.raises(entropy.BitExhaustionError):
                 entropy.decode(b"\x00\x00", book, 2**32 - 1, bit_length)
 
     @pytest.mark.parametrize("lengths", [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 65}])
     def test_invalid_book_refused(self, lengths):
-        book = entropy.CodeBook(lengths, 1)
+        book = book_of(lengths)
         with pytest.raises(entropy.CodebookError):
             entropy.decode(b"\x00", book, 1)
         with pytest.raises(entropy.CodebookError):
@@ -381,12 +423,14 @@ class TestCodebookSerialization:
                 data = entropy.serialize_codebook(book)
                 restored, consumed = entropy.deserialize_codebook(data, g)
                 assert consumed == len(data)
-                assert restored.lengths == book.lengths
-                assert restored.codes == book.codes
+                assert np.array_equal(restored.rows, book.rows)
+                assert np.array_equal(restored.code_lengths, book.code_lengths)
+                for a, b in zip(restored.canonical, book.canonical):
+                    assert np.array_equal(a, b)
 
     def test_part_outside_int16_rejected(self):
         with pytest.raises(entropy.EntropyError):
-            entropy.serialize_codebook(entropy.CodeBook({40000: 1}, 1))
+            entropy.serialize_codebook(book_of({40000: 1}))
 
     def test_truncated(self):
         book, _ = code_ids([1, 2, 3])
@@ -430,3 +474,8 @@ class TestCodebookSerialization:
         with pytest.raises(entropy.CodebookError) as excinfo:
             entropy.deserialize_codebook(data, 1)
         assert excinfo.type is entropy.CodebookError
+
+    def test_group_size_below_one_refused(self):
+        data = struct.pack(">I", 1) + b"\x01"
+        with pytest.raises(entropy.CodebookError):
+            entropy.deserialize_codebook(data, 0)
