@@ -460,19 +460,24 @@ class TestCodebookSerialization:
         with pytest.raises(entropy.KraftViolationError):
             entropy.deserialize_codebook(data, 1)
 
-    @pytest.mark.parametrize("entries", [
-        [(5, 2), (5, 2), (6, 2), (7, 2)],  # duplicate symbol, same length
-        [(5, 1), (5, 2), (6, 2)],  # duplicate symbol across lengths
-        [(1, 1), (3, 2), (2, 2)],  # two entries swapped within one length
-        [(1, 2), (2, 2), (3, 1)],  # a decreasing length
-    ], ids=["duplicate", "duplicate-across-lengths", "swapped", "decreasing-length"])
-    def test_order_and_duplicates_checked(self, entries):
-        # every case satisfies the Kraft equality, so only these checks refuse it
+    @pytest.mark.parametrize("entries, g", [
+        pytest.param(entries, g, id=name + ("" if g == 1 else f"-g{g}"))
+        for g in (1, 5)  # at g = 5 the entries differ only past the first 4 parts
+        for name, entries in [
+            ("duplicate", [(5, 2), (5, 2), (6, 2), (7, 2)]),
+            ("duplicate-across-lengths", [(5, 1), (5, 2), (6, 2)]),
+            ("swapped", [(1, 1), (3, 2), (2, 2)]),  # within one length
+            ("decreasing-length", [(1, 2), (2, 2), (3, 1)]),
+        ]
+    ])
+    def test_order_and_duplicates_checked(self, entries, g):
+        # every case satisfies the Kraft equality, so only these checks refuse it;
+        # a symbol s is the row (0, ..., 0, s) of g parts
         data = struct.pack(">I", len(entries)) + b"".join(
-            struct.pack(">hB", sym, length) for sym, length in entries
+            struct.pack(f">{g}hB", *[0] * (g - 1), sym, length) for sym, length in entries
         )
         with pytest.raises(entropy.CodebookError) as excinfo:
-            entropy.deserialize_codebook(data, 1)
+            entropy.deserialize_codebook(data, g)
         assert excinfo.type is entropy.CodebookError
 
     def test_group_size_below_one_refused(self):
