@@ -44,8 +44,8 @@ def _error_class(exc: Exception) -> str:
 
 
 def _config(mode: str, group_size: int, dc_diff: bool) -> CodecConfig:
-    if mode == "reduced" and group_size < 2:
-        raise UsageError("--group-size must be >= 2 with --entropy reduced")
+    if mode == "reduced" and not 2 <= group_size <= 255:
+        raise UsageError("--group-size must be in [2, 255] with --entropy reduced")
     return CodecConfig(
         entropy_mode="scalar" if mode == "huffman" else "reduced",
         group_size=group_size if mode == "reduced" else 1,
@@ -141,6 +141,7 @@ def bench_image(name: str, img: Image, group_size: int,
 
 
 def cmd_bench(args) -> int:
+    _config("reduced", args.group_size, False)  # refuse a bad --group-size first
     corpus = _load_corpus(args.corpus)
     lines = [CompressionReport.CSV_HEADER]
     for name, img in corpus:
@@ -209,7 +210,3 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: usage: {exc}", file=sys.stderr)
         return EXIT_USAGE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -23,8 +23,8 @@ class CodecConfig:
             raise ValueError(f"unknown entropy mode {self.entropy_mode!r}")
         if self.entropy_mode == "scalar":
             self.group_size = 1
-        elif self.group_size < 2:
-            raise ValueError("reduced mode needs group size >= 2")
+        elif not 2 <= self.group_size <= 255:  # the header holds it in one byte
+            raise ValueError("reduced mode needs a group size in [2, 255]")
         self.quant_table = quantize.validate_quant_table(self.quant_table)
 
 

@@ -56,6 +56,10 @@ class PayloadTooLargeError(ContainerError):
     """Payload bit length that does not fit the u32 field."""
 
 
+class GroupSizeTooLargeError(ContainerError):
+    """Group size that does not fit the header's u8 field."""
+
+
 def padded_size(width: int, height: int) -> tuple[int, int]:
     """Both sides rounded up to a multiple of 8, as the header stores them."""
     if width > MAX_DIMENSION or height > MAX_DIMENSION:
@@ -97,6 +101,8 @@ class CompressedFile:
             )
         if self.group_size < 1:
             raise InvariantError("group size must be >= 1")
+        if self.group_size > 0xFF:
+            raise GroupSizeTooLargeError("group size does not fit a u8 field")
         if not 0 <= self.pad_count < self.group_size:
             raise InvariantError("pad_count must be in [0, group_size)")
         if self.codebook.group_size != self.group_size:

@@ -2,10 +2,10 @@
 
 Every mode codes the stream the same way: the flat coefficients are padded
 with zeros to a multiple of g and cut into rows of g parts, each distinct row
-being one symbol (g = 1 is the scalar mode; a larger g shrinks the coded
-sequence g-fold). The coder works on ids into the sorted alphabet of the
-symbols present: the Huffman code is built over the per-id counts, and the
-payload concatenates the codes of the per-row ids.
+being one symbol (g = 1 is the scalar mode). The coder works on ids into the
+sorted alphabet, which one np.lexsort of the rows' biased uint16 parts gives
+for any g: the Huffman code is built over the per-id counts, and the payload
+concatenates the codes of the per-row ids.
 
 A CodeBook is two arrays in id order, the alphabet rows and their code
 lengths; CodeBook.canonical derives every code from the lengths as a 64-bit
@@ -69,9 +69,10 @@ def _check_int16(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """A biased big-endian void key per row: bytewise, signed lexicographic order."""
-    return (_check_int16(rows) + _BIAS).astype(">u2").view(f"V{2 * rows.shape[1]}").reshape(-1)
+def _part_keys(rows: np.ndarray) -> np.ndarray:
+    """The (n, g) rows as (g, n) biased uint16 parts: np.lexsort(keys[::-1])
+    sorts the rows in signed lexicographic order, by one radix pass per part."""
+    return _check_int16(rows).T.astype(np.uint16, order="C") + np.uint16(_BIAS)  # mod 2**16
 
 
 def group_symbols(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -80,7 +81,7 @@ def group_symbols(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
     Returns (rows, ids, counts, pad_count): rows is the (n, g) alphabet of
     distinct rows in ascending order; ids[i] is row i's index into it;
     counts[k] is how often rows[k] occurs; pad_count < g zeros were appended
-    to fill the last row.
+    to fill the last row. Each run of equal rows in the lexsort is one symbol.
     """
     if g < 1:
         raise ValueError(f"group size must be >= 1, got {g}")
@@ -89,8 +90,16 @@ def group_symbols(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
         raise EntropyError("cannot code an empty sequence")
     pad_count = -seq.size % g
     rows = np.concatenate([seq, np.zeros(pad_count, np.int64)]).reshape(-1, g)
-    keys, ids, counts = np.unique(_row_keys(rows), return_inverse=True, return_counts=True)
-    return keys.view(">u2").astype(np.int64).reshape(-1, g) - _BIAS, ids, counts, pad_count
+    keys = _part_keys(rows)
+    order = np.lexsort(keys[::-1])
+    differs = np.zeros(len(rows) - 1, bool)  # sorted row i + 1 from sorted row i
+    for key in np.take(keys, order, axis=1):
+        differs |= key[1:] != key[:-1]
+    heads = np.flatnonzero(np.r_[True, differs])
+    counts = np.diff(heads, append=len(rows))
+    ids = np.empty(len(rows), np.intp)
+    ids[order] = np.repeat(np.arange(len(heads)), counts)
+    return rows[order[heads]], ids, counts, pad_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,8 +316,8 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
     """Inverse of serialize_codebook; returns (book, bytes consumed).
 
     Codes are reassigned canonically from the stored lengths, so the result
-    is bit-identical to the encoder's book. Validates length range, canonical
-    ordering, distinct symbols, and the Kraft equality.
+    is bit-identical to the encoder's book. Validates length range, Kraft equality,
+    and canonical order and distinct symbols on the lexsort of group_symbols.
     """
     if group_size < 1:
         raise CodebookError(f"group size must be >= 1, got {group_size}")
@@ -328,7 +337,7 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
     if lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH:
         raise InvalidCodeLengthError("code length out of range")
     rows = entries["parts"].astype(np.int64)
-    by_symbol = np.argsort(_row_keys(rows), kind="stable")  # entry index of each id
+    by_symbol = np.lexsort(_part_keys(rows)[::-1])  # entry index of each id
     rows = rows[by_symbol]
     if (rows[1:] == rows[:-1]).all(axis=1).any():
         raise CodebookError("duplicate symbol in codebook")

@@ -13,6 +13,7 @@ from hjpeg.entropy import (
     BitExhaustionError,
     CodeBook,
     DanglingBitsError,
+    EntropyError,
     UnknownSymbolError,
 )
 
@@ -117,6 +118,24 @@ def fdct_reference(block) -> np.ndarray:
                     )
             out[i, j] = alpha[i] * alpha[j] * acc
     return out
+
+
+def group_symbols_reference(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """(rows, ids, counts, pad_count) of entropy.group_symbols, from one
+    np.unique over a biased big-endian void key per row, whose bytewise order
+    is the signed lexicographic row order."""
+    if g < 1:
+        raise ValueError(f"group size must be >= 1, got {g}")
+    seq = np.asarray(seq, dtype=np.int64).reshape(-1)
+    if not seq.size:
+        raise EntropyError("cannot code an empty sequence")
+    pad_count = -seq.size % g
+    rows = np.concatenate([seq, np.zeros(pad_count, np.int64)]).reshape(-1, g)
+    if rows.min() < -0x8000 or rows.max() >= 0x8000:
+        raise EntropyError("symbol part outside the signed 16-bit range")
+    keys = (rows + 0x8000).astype(">u2").view(f"V{2 * g}").reshape(-1)
+    keys, ids, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return keys.view(">u2").astype(np.int64).reshape(-1, g) - 0x8000, ids, counts, pad_count
 
 
 def huge_payload(bits: int):

@@ -1,5 +1,9 @@
 import contextlib
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,6 +39,17 @@ class TestCompressCommand:
         )
         assert rc == cli.EXIT_USAGE
         assert capsys.readouterr().err.startswith("error: usage:")
+
+    def test_group_size_above_255_rejected(self, tmp_path, capsys, monkeypatch):
+        # the header holds the group size in one byte; refused before any coding
+        monkeypatch.setattr(codec, "compress_bytes", None)
+        src = write_image(tmp_path / "in.pgm")
+        out = tmp_path / "o.hjpg"
+        rc = cli.main(["compress", src, str(out), "--group-size", "256"])
+        assert rc == cli.EXIT_USAGE
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: usage:")
+        assert not out.exists()
 
     def test_missing_input(self, tmp_path, capsys):
         rc = cli.main(["compress", str(tmp_path / "nope.pgm"), str(tmp_path / "o")])
@@ -210,6 +225,17 @@ class TestBenchCommand:
         rc = cli.main(["bench", "--corpus", str(empty)])
         assert rc == cli.EXIT_USAGE
 
+    def test_group_size_above_255_rejected(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(codec, "compress_bytes", None)
+        monkeypatch.setattr(cli, "_load_corpus", None)
+        out = tmp_path / "r.csv"
+        rc = cli.main(["bench", "--out", str(out), "--group-size", "256"])
+        assert rc == cli.EXIT_USAGE
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: usage:")
+        assert captured.out == "" and not out.exists()
+
     def test_improvement_column_present(self, tmp_path):
         out = tmp_path / "r.csv"
         cli.main(["bench", "--out", str(out)])
@@ -219,3 +245,16 @@ class TestBenchCommand:
                 assert row[-1] != ""
             else:
                 assert row[-1] == ""
+
+
+def test_python_m_hjpeg(tmp_path):
+    # the package runs as a module from a checkout, without installing it
+    packed = tmp_path / "out.hjpg"
+    packed.write_bytes(codec.compress_bytes(generate_test_image("gradient", 16, 8)))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run([sys.executable, "-m", "hjpeg", "inspect", str(packed)],
+                            capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("mode: reduced\n")

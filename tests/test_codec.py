@@ -32,6 +32,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             CodecConfig(entropy_mode="reduced", group_size=1)
 
+    def test_reduced_rejects_group_above_255(self):
+        # the container stores the group size in one byte
+        assert CodecConfig(entropy_mode="reduced", group_size=255).group_size == 255
+        with pytest.raises(ValueError):
+            CodecConfig(entropy_mode="reduced", group_size=256)
+
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             CodecConfig(entropy_mode="arithmetic")

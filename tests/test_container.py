@@ -6,6 +6,7 @@ from hjpeg.container import (
     BadMagicError,
     CompressedFile,
     ContainerError,
+    GroupSizeTooLargeError,
     ImageTooLargeError,
     InvariantError,
     PayloadTooLargeError,
@@ -151,6 +152,16 @@ class TestCorruption:
         with pytest.raises(PayloadTooLargeError) as info:
             serialize(f)
         assert not isinstance(info.value, InvariantError)
+
+    def test_group_size_beyond_u8_rejected(self):
+        # the header's group-size field is one byte: a named error, not a struct.error
+        f = random_file(np.random.default_rng(17))
+        f.group_size = 256
+        with pytest.raises(GroupSizeTooLargeError) as info:
+            f.validate()
+        assert not isinstance(info.value, InvariantError)
+        with pytest.raises(GroupSizeTooLargeError):
+            serialize(f)
 
     def test_trailing_bytes_rejected(self, sample):
         with pytest.raises(TrailingDataError) as info:

@@ -16,6 +16,7 @@ from oracles import (
     code_strings,
     decode_reference,
     encode_reference,
+    group_symbols_reference,
     huffman_lengths_reference,
     is_prefix_free,
     kraft_sum_exact,
@@ -37,6 +38,29 @@ def expand(seq, g):
     rows, ids, counts, pad = entropy.group_symbols(seq, g)
     book = entropy.build_codebook(rows, counts)
     return book.rows[ids].reshape(-1)[: len(ids) * g - pad].tolist()
+
+
+# parts at and around the int16 extremes and zero, where a biased key wraps
+# or changes its top bit if it is built wrong
+edge_parts = st.one_of(st.sampled_from([-32768, -1, 0, 1, 32767]),
+                       st.integers(-32768, 32767))
+
+
+@st.composite
+def grouped_streams(draw):
+    """(seq, g) with g in 1..9, so rows span one to three 64-bit key words:
+    random rows, copies of one row, or copies of one row varied only in its
+    last part."""
+    g = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 60))
+    kind = draw(st.sampled_from(["random", "equal", "last-part"]))
+    if kind == "random":
+        return draw(st.lists(edge_parts, min_size=1, max_size=n * g)), g
+    row = draw(st.lists(edge_parts, min_size=g, max_size=g))
+    if kind == "equal":
+        return row * n, g
+    lasts = draw(st.lists(edge_parts, min_size=n, max_size=n))
+    return [p for last in lasts for p in row[:-1] + [last]], g
 
 
 class TestReduceSymbols:
@@ -73,7 +97,7 @@ class TestReduceSymbols:
     @settings(max_examples=100)
     @given(
         seq=st.lists(st.integers(-32768, 32767), min_size=1, max_size=300),
-        g=st.sampled_from([1, 2, 3, 4, 8]),
+        g=st.sampled_from([1, 2, 3, 4, 5, 8, 9]),
     )
     def test_alphabet_in_ascending_symbol_order(self, seq, g):
         alphabet, ids, counts, pad = entropy.group_symbols(seq, g)
@@ -83,6 +107,15 @@ class TestReduceSymbols:
         assert alphabet.tolist() == expected
         assert [expected[i] for i in ids.tolist()] == rows
         assert counts.tolist() == [rows.count(s) for s in expected]
+
+    @settings(max_examples=300, deadline=None)
+    @given(grouped_streams())
+    def test_matches_reference_grouping(self, stream):
+        seq, g = stream
+        got, want = entropy.group_symbols(seq, g), group_symbols_reference(seq, g)
+        for a, b in zip(got[:3], want[:3]):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
+        assert got[3] == want[3]
 
     @pytest.mark.parametrize("part", [32768, -32769, 1 << 32])
     def test_part_outside_int16_rejected(self, part):
