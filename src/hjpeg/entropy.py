@@ -69,10 +69,14 @@ def _check_int16(rows: np.ndarray) -> np.ndarray:
     return rows
 
 
-def _part_keys(rows: np.ndarray) -> np.ndarray:
-    """The (n, g) rows as (g, n) biased uint16 parts: np.lexsort(keys[::-1])
-    sorts the rows in signed lexicographic order, by one radix pass per part."""
-    return _check_int16(rows).T.astype(np.uint16, order="C") + np.uint16(_BIAS)  # mod 2**16
+def _sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, differs): the stable order sorting the (n, g) rows ascending, from one
+    np.lexsort of their parts as uint16 biased mod 2**16 (a radix pass per part), and
+    whether each sorted row differs from the next."""
+    keys = _check_int16(rows).T.astype(np.uint16, order="C") + np.uint16(_BIAS)
+    order = np.lexsort(keys[::-1])
+    keys = np.take(keys, order, axis=1)
+    return order, (keys[:, 1:] != keys[:, :-1]).any(axis=0)
 
 
 def group_symbols(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -81,7 +85,7 @@ def group_symbols(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
     Returns (rows, ids, counts, pad_count): rows is the (n, g) alphabet of
     distinct rows in ascending order; ids[i] is row i's index into it;
     counts[k] is how often rows[k] occurs; pad_count < g zeros were appended
-    to fill the last row. Each run of equal rows in the lexsort is one symbol.
+    to fill the last row. Each run of equal rows in _sort_rows is one symbol.
     """
     if g < 1:
         raise ValueError(f"group size must be >= 1, got {g}")
@@ -90,16 +94,12 @@ def group_symbols(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
         raise EntropyError("cannot code an empty sequence")
     pad_count = -seq.size % g
     rows = np.concatenate([seq, np.zeros(pad_count, np.int64)]).reshape(-1, g)
-    keys = _part_keys(rows)
-    order = np.lexsort(keys[::-1])
-    differs = np.zeros(len(rows) - 1, bool)  # sorted row i + 1 from sorted row i
-    for key in np.take(keys, order, axis=1):
-        differs |= key[1:] != key[:-1]
-    heads = np.flatnonzero(np.r_[True, differs])
-    counts = np.diff(heads, append=len(rows))
+    order, differs = _sort_rows(rows)
+    edges = np.flatnonzero(np.concatenate(([True], differs, [True])))  # run starts, then n
+    counts = np.diff(edges)
     ids = np.empty(len(rows), np.intp)
-    ids[order] = np.repeat(np.arange(len(heads)), counts)
-    return rows[order[heads]], ids, counts, pad_count
+    ids[order] = np.repeat(np.arange(len(counts)), counts)
+    return rows[order[edges[:-1]]], ids, counts, pad_count
 
 
 @dataclass(frozen=True, eq=False)
@@ -317,7 +317,7 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
 
     Codes are reassigned canonically from the stored lengths, so the result
     is bit-identical to the encoder's book. Validates length range, Kraft equality,
-    and canonical order and distinct symbols on the lexsort of group_symbols.
+    and canonical order and distinct symbols on the sort of group_symbols.
     """
     if group_size < 1:
         raise CodebookError(f"group size must be >= 1, got {group_size}")
@@ -337,14 +337,13 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
     if lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH:
         raise InvalidCodeLengthError("code length out of range")
     rows = entries["parts"].astype(np.int64)
-    by_symbol = np.lexsort(_part_keys(rows)[::-1])  # entry index of each id
-    rows = rows[by_symbol]
-    if (rows[1:] == rows[:-1]).all(axis=1).any():
+    by_symbol, differs = _sort_rows(rows)  # entry index of each id
+    if not differs.all():
         raise CodebookError("duplicate symbol in codebook")
     step, id_step = np.diff(lengths), np.diff(np.argsort(by_symbol))  # id of each entry
     if ((step < 0) | ((step == 0) & (id_step < 0))).any():  # not by (length, symbol)
         raise CodebookError("codebook entries not in canonical order")
-    book = CodeBook(rows, lengths[by_symbol])
+    book = CodeBook(rows[by_symbol], lengths[by_symbol])
     if n >= 2 and book.kraft_sum != 1:
         raise KraftViolationError(f"Kraft sum {book.kraft_sum} != 1")
     if n == 1 and lengths[0] != 1:
