@@ -48,9 +48,8 @@ edge_parts = st.one_of(st.sampled_from([-32768, -1, 0, 1, 32767]),
 
 @st.composite
 def grouped_streams(draw):
-    """(seq, g) with g in 1..9, so rows span one to three 64-bit key words:
-    random rows, copies of one row, or copies of one row varied only in its
-    last part."""
+    """(seq, g) with g in 1..9, rows past 4 and 8 parts included: random rows,
+    copies of one row, or copies of one row varied only in its last part."""
     g = draw(st.integers(1, 9))
     n = draw(st.integers(1, 60))
     kind = draw(st.sampled_from(["random", "equal", "last-part"]))
