@@ -43,45 +43,35 @@ def _error_class(exc: Exception) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
 
 
-def _config(mode: str, group_size: int, dc_diff: bool) -> CodecConfig:
-    if mode == "reduced" and not 2 <= group_size <= 255:
-        raise UsageError("--group-size must be in [2, 255] with --entropy reduced")
-    return CodecConfig(
-        entropy_mode="scalar" if mode == "huffman" else "reduced",
-        group_size=group_size if mode == "reduced" else 1,
-        dc_diff=dc_diff,
-    )
-
-
-def _report(name: str, img: Image, cfg: CodecConfig,
-            file: container.CompressedFile, data: bytes,
-            restored: Image) -> CompressionReport:
-    _, _, counts, _ = entropy.group_symbols(
-        codec.image_to_symbols(img, cfg), cfg.group_size
-    )
+def _run(name: str, img: Image,
+         cfg: CodecConfig) -> tuple[bytes, Image, CompressionReport]:
+    """Compress, decode the container back, and report on that one pass."""
+    file, counts = codec.compress(img, cfg)
+    data = container.serialize(file)
+    restored = codec.decompress(container.deserialize(data))
     original_bits = img.width * img.height * 8
-    return CompressionReport(
+    report = CompressionReport(
         image=name,
         mode=cfg.entropy_mode,
         group_size=cfg.group_size,
         dc_diff=cfg.dc_diff,
         entropy_bits=metrics.empirical_entropy(counts),
-        l_avg=metrics.average_code_length(file.codebook, counts),
+        l_avg=file.payload_bit_length / file.symbol_count,
         payload_cr=metrics.compression_ratio(original_bits, file.payload_bit_length),
         file_cr=metrics.compression_ratio(original_bits, len(data) * 8),
         psnr_db=metrics.psnr(img, restored),
     )
+    return data, restored, report
 
 
 def cmd_compress(args) -> int:
-    cfg = _config(args.entropy, args.group_size, args.dc_diff)
+    cfg = CodecConfig("scalar" if args.entropy == "huffman" else "reduced",
+                      args.group_size, args.dc_diff)
     img = read_pgm(Path(args.input).read_bytes())
-    data = codec.compress_bytes(img, cfg)
+    data, _, report = _run(Path(args.input).name, img, cfg)
     Path(args.output).write_bytes(data)
-    file = container.deserialize(data)
-    restored = codec.decompress(file)
     print(CompressionReport.CSV_HEADER)
-    print(_report(Path(args.input).name, img, cfg, file, data, restored).csv_row())
+    print(report.csv_row())
     return EXIT_OK
 
 
@@ -122,26 +112,22 @@ def _load_corpus(corpus: str | None) -> list[tuple[str, Image]]:
     ]
 
 
-def bench_image(name: str, img: Image, group_size: int,
-                dc_modes=(False, True)) -> list[CompressionReport]:
+def bench_image(name: str, img: Image, group_size: int) -> list[CompressionReport]:
     """All entropy/DC configurations for one image, parity-checked."""
     reports = []
-    for dc in dc_modes:
+    for dc in (False, True):
         restored_by_mode = {}
-        for mode in ("huffman", "reduced"):
-            cfg = _config(mode, group_size, dc)
-            data = codec.compress_bytes(img, cfg)
-            file = container.deserialize(data)
-            restored = codec.decompress(file)
-            restored_by_mode[mode] = restored
-            reports.append(_report(name, img, cfg, file, data, restored))
-        if restored_by_mode["huffman"] != restored_by_mode["reduced"]:
+        for mode in ("scalar", "reduced"):
+            _, restored_by_mode[mode], report = _run(
+                name, img, CodecConfig(mode, group_size, dc))
+            reports.append(report)
+        if restored_by_mode["scalar"] != restored_by_mode["reduced"]:
             raise ParityError(f"mode parity violated on {name} (dc_diff={dc})")
     return reports
 
 
 def cmd_bench(args) -> int:
-    _config("reduced", args.group_size, False)  # refuse a bad --group-size first
+    CodecConfig("reduced", args.group_size)  # refuse a bad --group-size first
     corpus = _load_corpus(args.corpus)
     lines = [CompressionReport.CSV_HEADER]
     for name, img in corpus:

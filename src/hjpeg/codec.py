@@ -58,7 +58,10 @@ def image_to_symbols(img: Image, cfg: CodecConfig) -> np.ndarray:
     return seq
 
 
-def compress(img: Image, cfg: CodecConfig | None = None) -> CompressedFile:
+def compress(
+    img: Image, cfg: CodecConfig | None = None
+) -> tuple[CompressedFile, np.ndarray]:
+    """The container for `img` and how often each codebook id occurs in it."""
     cfg = cfg or CodecConfig()
     padded_width, padded_height = container.padded_size(img.width, img.height)
     rows, ids, counts, pad_count = entropy.group_symbols(
@@ -66,7 +69,7 @@ def compress(img: Image, cfg: CodecConfig | None = None) -> CompressedFile:
     )
     book = entropy.build_codebook(rows, counts)
     payload, bit_length = entropy.encode(ids, book)
-    return CompressedFile(
+    file = CompressedFile(
         group_size=cfg.group_size,
         dc_diff=cfg.dc_diff,
         orig_width=img.width,
@@ -80,6 +83,7 @@ def compress(img: Image, cfg: CodecConfig | None = None) -> CompressedFile:
         payload=payload,
         payload_bit_length=bit_length,
     )
+    return file, counts
 
 
 def decompress(file: CompressedFile) -> Image:
@@ -104,7 +108,7 @@ def decompress(file: CompressedFile) -> Image:
 
 
 def compress_bytes(img: Image, cfg: CodecConfig | None = None) -> bytes:
-    return container.serialize(compress(img, cfg))
+    return container.serialize(compress(img, cfg)[0])
 
 
 def decompress_bytes(data: bytes) -> Image:

@@ -1,4 +1,4 @@
-"""Entropy, average code length, compression ratio, and PSNR."""
+"""Entropy, compression ratio, PSNR, and the report row."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropy import CodeBook, UnknownSymbolError
 from .image import Image
 
 
@@ -18,14 +17,6 @@ def empirical_entropy(counts) -> float:
         raise ValueError("empty frequency table")
     total = sum(counts)
     return -sum((c / total) * math.log2(c / total) for c in counts)
-
-
-def average_code_length(book: CodeBook, counts) -> float:
-    """Expected code length in bits when id k occurs counts[k] times."""
-    counts = np.asarray(counts, dtype=np.int64)
-    if counts.shape != book.code_lengths.shape:
-        raise UnknownSymbolError("counts and codebook cover different alphabets")
-    return int(counts @ book.code_lengths) / int(counts.sum())
 
 
 def compression_ratio(original_bits: int, compressed_bits: int) -> float:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hjpeg import cli, codec
+from hjpeg import cli, codec, entropy
 from hjpeg.codec import CodecConfig
 from hjpeg.image import generate_test_image, read_pgm, write_pgm
 from oracles import huge_payload
@@ -42,7 +42,7 @@ class TestCompressCommand:
 
     def test_group_size_above_255_rejected(self, tmp_path, capsys, monkeypatch):
         # the header holds the group size in one byte; refused before any coding
-        monkeypatch.setattr(codec, "compress_bytes", None)
+        monkeypatch.setattr(codec, "compress", None)
         src = write_image(tmp_path / "in.pgm")
         out = tmp_path / "o.hjpg"
         rc = cli.main(["compress", src, str(out), "--group-size", "256"])
@@ -78,9 +78,9 @@ class TestCompressCommand:
         compress = codec.compress
 
         def huge(img, cfg):
-            file = compress(img, cfg)
+            file, counts = compress(img, cfg)
             file.payload, file.payload_bit_length = huge_payload(1 << 32), 1 << 32
-            return file
+            return file, counts
 
         monkeypatch.setattr(codec, "compress", huge)
         src = write_image(tmp_path / "in.pgm")
@@ -226,7 +226,7 @@ class TestBenchCommand:
         assert rc == cli.EXIT_USAGE
 
     def test_group_size_above_255_rejected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(codec, "compress_bytes", None)
+        monkeypatch.setattr(codec, "compress", None)
         monkeypatch.setattr(cli, "_load_corpus", None)
         out = tmp_path / "r.csv"
         rc = cli.main(["bench", "--out", str(out), "--group-size", "256"])
@@ -245,6 +245,36 @@ class TestBenchCommand:
                 assert row[-1] != ""
             else:
                 assert row[-1] == ""
+
+
+def test_one_symbol_pass_per_report_row(tmp_path, monkeypatch, capsys):
+    # every CSV row is read from the compress that made its container
+    calls = {}
+
+    def count(module, name):
+        fn = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(codec, "image_to_symbols")
+    count(entropy, "group_symbols")
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    for i, kind in enumerate(("gradient", "noise")):
+        write_image(corpus / f"{kind}.pgm", kind, 16, 16, i)
+    assert cli.main(["bench", "--corpus", str(corpus)]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert len(rows) == 8
+    assert calls == {"image_to_symbols": 8, "group_symbols": 8}
+
+    calls.clear()
+    src = str(corpus / "noise.pgm")
+    assert cli.main(["compress", src, str(tmp_path / "o.hjpg")]) == 0
+    assert calls == {"image_to_symbols": 1, "group_symbols": 1}
 
 
 def test_python_m_hjpeg(tmp_path):

@@ -47,7 +47,8 @@ class TestCompress:
     def test_constant_image(self):
         img = Image(np.full((8, 8), 128, dtype=np.uint8))
         for mode, g, expected_count in (("scalar", 1, 64), ("reduced", 4, 16)):
-            file = codec.compress(img, CodecConfig(entropy_mode=mode, group_size=g))
+            file, counts = codec.compress(img, CodecConfig(entropy_mode=mode, group_size=g))
+            assert counts.tolist() == [expected_count]
             assert file.symbol_count == expected_count
             assert file.payload_bit_length == expected_count  # 1-bit codes
             sym = 0 if mode == "scalar" else (0, 0, 0, 0)
@@ -73,7 +74,7 @@ class TestCompress:
         img = generate_test_image("noise", 32, 32, 4)
         for mode, g in (("scalar", 1), ("reduced", 4)):
             cfg = CodecConfig(entropy_mode=mode, group_size=g)
-            file = codec.compress(img, cfg)
+            file, _ = codec.compress(img, cfg)
             ids = entropy.decode(
                 file.payload, file.codebook, file.symbol_count,
                 file.payload_bit_length,
@@ -86,12 +87,12 @@ class TestCompress:
 class TestDecompress:
     def test_constant_round_trip_exact(self):
         img = Image(np.full((16, 24), 128, dtype=np.uint8))
-        restored = codec.decompress(codec.compress(img))
+        restored = codec.decompress(codec.compress(img)[0])
         assert restored == img
 
     def test_crops_to_original(self):
         img = generate_test_image("gradient", 37, 21, 0)
-        restored = codec.decompress(codec.compress(img))
+        restored = codec.decompress(codec.compress(img)[0])
         assert (restored.width, restored.height) == (37, 21)
 
     @pytest.mark.parametrize("name,img", corpus_images())
@@ -102,7 +103,7 @@ class TestDecompress:
                     codec.compress(
                         img,
                         CodecConfig(entropy_mode=mode, group_size=g, dc_diff=dc),
-                    )
+                    )[0]
                 )
                 for mode, g in (("scalar", 1), ("reduced", 4))
             ]
@@ -111,15 +112,15 @@ class TestDecompress:
     def test_dc_diff_round_trip(self):
         img = generate_test_image("noise", 40, 40, 6)
         cfg = CodecConfig(dc_diff=True)
-        restored = codec.decompress(codec.compress(img, cfg))
-        baseline = codec.decompress(codec.compress(img, CodecConfig(dc_diff=False)))
+        restored = codec.decompress(codec.compress(img, cfg)[0])
+        baseline = codec.decompress(codec.compress(img, CodecConfig(dc_diff=False))[0])
         assert restored == baseline
 
     def test_reconstruction_error_bounded(self):
         # empirical per-pixel error on the corpus; bound fixed once observed
         worst = 0
         for _, img in corpus_images():
-            restored = codec.decompress(codec.compress(img))
+            restored = codec.decompress(codec.compress(img)[0])
             err = np.abs(
                 restored.pixels.astype(int) - img.pixels.astype(int)
             ).max()
@@ -135,7 +136,7 @@ class TestDecompress:
     @pytest.mark.parametrize("mode,g", [("scalar", 1), ("reduced", 4)])
     def test_coefficient_count_checked_before_decode(self, mode, g, monkeypatch):
         img = generate_test_image("noise", 16, 16, 8)
-        file = codec.compress(img, CodecConfig(entropy_mode=mode, group_size=g))
+        file, _ = codec.compress(img, CodecConfig(entropy_mode=mode, group_size=g))
         file.symbol_count -= 1  # still within the payload's bit length
 
         def no_decode(*args, **kwargs):
@@ -147,7 +148,7 @@ class TestDecompress:
 
     def test_symbol_count_mismatch_detected(self):
         img = generate_test_image("noise", 16, 16, 8)
-        file = codec.compress(img, CodecConfig(entropy_mode="scalar"))
+        file, _ = codec.compress(img, CodecConfig(entropy_mode="scalar"))
         file.padded_width = 32  # header now promises more blocks than coded
         with pytest.raises(
             (container.InvariantError, entropy.EntropyError, ValueError)

@@ -131,7 +131,7 @@ class TestExpandSymbols:
         assert expand([5, 7], 4) == [5, 7]
 
     def test_bad_pad_count(self):
-        file = codec.compress(generate_test_image("noise", 8, 8, 0), CodecConfig())
+        file, _ = codec.compress(generate_test_image("noise", 8, 8, 0), CodecConfig())
         file.pad_count = file.group_size
         with pytest.raises(ValueError):
             codec.decompress(file)
