@@ -61,14 +61,14 @@ def image_to_symbols(img: Image, cfg: CodecConfig) -> np.ndarray:
 def compress(
     img: Image, cfg: CodecConfig | None = None
 ) -> tuple[CompressedFile, np.ndarray]:
-    """The container for `img` and how often each codebook id occurs in it."""
+    """The container for `img` and how often each symbol of its sorted alphabet occurs."""
     cfg = cfg or CodecConfig()
     padded_width, padded_height = container.padded_size(img.width, img.height)
     rows, ids, counts, pad_count = entropy.group_symbols(
         image_to_symbols(img, cfg), cfg.group_size
     )
-    book = entropy.build_codebook(rows, counts)
-    payload, bit_length = entropy.encode(ids, book)
+    book, rank = entropy.build_codebook(rows, counts)
+    payload, bit_length = entropy.encode(rank[ids], book)
     file = CompressedFile(
         group_size=cfg.group_size,
         dc_diff=cfg.dc_diff,

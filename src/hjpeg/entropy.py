@@ -2,17 +2,19 @@
 
 Every mode codes the stream the same way: the flat coefficients are padded
 with zeros to a multiple of g and cut into rows of g parts, each distinct row
-being one symbol (g = 1 is the scalar mode). The coder works on ids into the
-sorted alphabet, which one np.lexsort of the rows' biased uint16 parts gives
-for any g: the Huffman code is built over the per-id counts, and the payload
-concatenates the codes of the per-row ids.
+being one symbol (g = 1 is the scalar mode). One np.lexsort of the rows'
+biased uint16 parts gives, for any g, the sorted alphabet, each row's index
+into it and the per-symbol counts; the Huffman code is built over the counts,
+and the payload concatenates the codes of the rows.
 
-A CodeBook is two arrays in id order, the alphabet rows and their code
-lengths; CodeBook.canonical derives every code from the lengths as a 64-bit
-left-justified first code. The encoder ORs the shifted codes into 64-bit
-words. The decoder tables, for every bit position of the payload, where the
-code starting there ends, and walks that table 16 symbols per step with a
-table composed from it by pointer jumping.
+build_codebook permutes the sorted alphabet once into canonical order, the
+order of JPEG's HUFFVAL (ITU-T T.81, C and B.2.4.2): by code length, then by
+symbol. A CodeBook holds the rows and their code lengths in that order, so an
+id is its code's index; CodeBook.codes derives the 64-bit left-justified codes
+from the lengths. The encoder ORs the shifted codes into 64-bit words. The
+decoder tables, for every bit position of the payload, where the code
+starting there ends, and walks that table 16 symbols per step with a table
+composed from it by pointer jumping.
 """
 
 from __future__ import annotations
@@ -104,10 +106,9 @@ def group_symbols(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 @dataclass(frozen=True, eq=False)
 class CodeBook:
-    """Canonical prefix code as two arrays in id order: rows is the (n, g)
-    int64 alphabet in ascending order, and code_lengths[k] is the code length
-    of rows[k]. A symbol's id is its row index; the lengths determine the codes.
-    """
+    """Canonical prefix code as two arrays in canonical order: rows is the (n, g)
+    int64 alphabet by code length, then by symbol, and code_lengths[k] is the
+    length of rows[k]. Id k, the row index, gets the k-th canonical code."""
 
     rows: np.ndarray
     code_lengths: np.ndarray = field(repr=False)
@@ -125,22 +126,19 @@ class CodeBook:
         return dict(zip(symbols, self.code_lengths.tolist()))
 
     @cached_property
-    def canonical(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(ids, lengths, first) in canonical order: by code length, then by symbol.
-
-        first[i] is the code of ids[i] left-justified to 64 bits, the exclusive
-        prefix sum of 2**(64 - length); uint64 holds it exactly because the
-        Kraft sum is at most 1, which is checked here.
-        """
+    def codes(self) -> np.ndarray:
+        """codes[k], the code of id k left-justified to 64 bits: the exclusive prefix
+        sum of 2**(64 - length). That is a prefix code, exact in uint64, as the lengths
+        are checked to lie in 1..64 and not decrease, with a Kraft sum of at most 1."""
         lengths = self.code_lengths.astype(np.int64)
         if lengths.size and (lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH):
             raise InvalidCodeLengthError("code length out of range")
+        if (np.diff(lengths) < 0).any():
+            raise CodebookError("code lengths not in canonical order")
         if self.kraft_sum > 1:
             raise KraftViolationError(f"Kraft sum {self.kraft_sum} > 1")
-        ids = np.argsort(lengths, kind="stable")
-        lengths = lengths[ids]
         span = np.uint64(1) << (MAX_CODE_LENGTH - lengths).astype(np.uint64)
-        return ids, lengths, np.cumsum(span) - span
+        return np.cumsum(span) - span
 
     @cached_property
     def kraft_sum(self) -> Fraction:
@@ -177,10 +175,15 @@ def huffman_code_lengths(counts) -> list[int]:
     return depth[:n]
 
 
-def build_codebook(rows: np.ndarray, counts) -> CodeBook:
-    """Huffman code over the alphabet rows, with counts[k] occurrences of rows[k]."""
-    lengths = huffman_code_lengths(np.asarray(counts).tolist())
-    return CodeBook(rows, np.array(lengths, np.int64))
+def build_codebook(rows: np.ndarray, counts) -> tuple[CodeBook, np.ndarray]:
+    """(book, rank): the Huffman code over the ascending alphabet rows, with
+    counts[k] occurrences of rows[k], as a book in canonical order; rank[k] is
+    the book's id of rows[k]."""
+    lengths = np.array(huffman_code_lengths(np.asarray(counts).tolist()), np.int64)
+    order = np.argsort(lengths, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return CodeBook(rows[order], lengths[order]), rank
 
 
 def encode(ids, book: CodeBook) -> tuple[bytes, int]:
@@ -193,9 +196,7 @@ def encode(ids, book: CodeBook) -> tuple[bytes, int]:
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= len(book.rows)):
         raise UnknownSymbolError("symbol id not in codebook")
-    order, _, first = book.canonical
-    codes = first[np.argsort(order)]  # in id order
-    lengths = book.code_lengths.astype(np.int64)
+    codes, lengths = book.codes, book.code_lengths.astype(np.int64)
     total = int(lengths[ids].sum())
     words = np.zeros(total // 64 + 1, np.uint64)
     end = 0
@@ -245,13 +246,12 @@ def decode(data: bytes, book: CodeBook, symbol_count: int,
     end = 8 * len(data) if bit_length is None else min(bit_length, 8 * len(data))
     if symbol_count > end:  # every code is at least one bit
         raise BitExhaustionError(f"{symbol_count} symbols cannot fit in {end} bits")
-    ids, lengths, first = book.canonical
-    # one entry per code length: its first code, the index of that code and
+    # one entry per code length: its first code, the id of that code and
     # the last window that any code of this length matches
-    group_len, group_index = np.unique(lengths, return_index=True)
-    group_first = first[group_index]
+    group_len, group_index = np.unique(book.code_lengths, return_index=True)
+    group_first = book.codes[group_index]
     shift = (MAX_CODE_LENGTH - group_len).astype(np.uint64)
-    group_size = np.diff(group_index, append=len(ids)).astype(np.uint64)
+    group_size = np.diff(group_index, append=len(book.rows)).astype(np.uint64)
     group_last = group_first + (group_size << shift) - np.uint64(1)  # exact mod 2**64
 
     n_bytes = end // 8 + 1  # byte offsets of the positions 0..end
@@ -291,8 +291,8 @@ def decode(data: bytes, book: CodeBook, symbol_count: int,
         stop = stops[-1]
         w = _windows(buf, words, starts >> 3, starts.view(np.uint64) & np.uint64(7))
         g = np.searchsorted(group_first, w, "right") - 1
-        k = group_index[g] + ((w - group_first[g]) >> shift[g]).astype(np.intp)
-        out[s0 : s0 + starts.size] = ids[k]
+        k = ((w - group_first[g]) >> shift[g]).astype(np.intp)  # index within its length
+        out[s0 : s0 + starts.size] = group_index[g] + k
     if bit_length is not None and stop != bit_length:
         raise DanglingBitsError(f"decoded {stop} bits but payload declares {bit_length}")
     return out
@@ -303,21 +303,22 @@ def _entry_dtype(g: int) -> np.dtype:
 
 
 def serialize_codebook(book: CodeBook) -> bytes:
-    """Symbol count (u32 BE), then per symbol in canonical order:
+    """Symbol count (u32 BE), then per symbol in id order, which is canonical:
     group_size signed 16-bit parts followed by one length byte."""
-    order, lengths, _ = book.canonical
-    entries = np.empty(len(order), _entry_dtype(book.group_size))
-    entries["parts"] = _check_int16(book.rows[order])
-    entries["length"] = lengths
-    return struct.pack(">I", len(order)) + entries.tobytes()
+    book.codes  # refuses lengths out of range or order, or a Kraft sum above 1
+    entries = np.empty(len(book.rows), _entry_dtype(book.group_size))
+    entries["parts"] = _check_int16(book.rows)
+    entries["length"] = book.code_lengths
+    return struct.pack(">I", len(entries)) + entries.tobytes()
 
 
 def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
     """Inverse of serialize_codebook; returns (book, bytes consumed).
 
-    Codes are reassigned canonically from the stored lengths, so the result
-    is bit-identical to the encoder's book. Validates length range, Kraft equality,
-    and canonical order and distinct symbols on the sort of group_symbols.
+    The entries become the book's rows as they are, so the codes assigned
+    from the stored lengths are the encoder's. CodeBook.codes checks the length
+    range and order; the sort of group_symbols checks that the symbols are
+    distinct and ascend within each length; the Kraft sum must be exactly 1.
     """
     if group_size < 1:
         raise CodebookError(f"group size must be >= 1, got {group_size}")
@@ -333,19 +334,16 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
         raise TruncatedCodebookError(
             f"codebook declares {n} symbols but only {fit} fit")
     entries = np.frombuffer(data, entry, count=n, offset=4)
-    lengths = entries["length"].astype(np.int64)
-    if lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH:
-        raise InvalidCodeLengthError("code length out of range")
-    rows = entries["parts"].astype(np.int64)
-    by_symbol, differs = _sort_rows(rows)  # entry index of each id
+    book = CodeBook(entries["parts"].astype(np.int64), entries["length"].astype(np.int64))
+    book.codes  # lengths in range and order, Kraft sum at most 1
+    by_symbol, differs = _sort_rows(book.rows)
     if not differs.all():
         raise CodebookError("duplicate symbol in codebook")
-    step, id_step = np.diff(lengths), np.diff(np.argsort(by_symbol))  # id of each entry
-    if ((step < 0) | ((step == 0) & (id_step < 0))).any():  # not by (length, symbol)
+    symbol_step = np.diff(np.argsort(by_symbol))  # of each entry's place in symbol order
+    if ((np.diff(book.code_lengths) == 0) & (symbol_step < 0)).any():
         raise CodebookError("codebook entries not in canonical order")
-    book = CodeBook(rows[by_symbol], lengths[by_symbol])
     if n >= 2 and book.kraft_sum != 1:
         raise KraftViolationError(f"Kraft sum {book.kraft_sum} != 1")
-    if n == 1 and lengths[0] != 1:
+    if n == 1 and book.code_lengths[0] != 1:
         raise KraftViolationError("single-symbol alphabet must use length 1")
     return book, end

@@ -53,6 +53,16 @@ class Image:
         )
 
 
+def _decimal(token: bytes, what: str) -> int:
+    """A header field or P2 sample as an int: ASCII decimal digits only, at most 18
+    past leading zeros so that int64 holds it. int() alone would also take a sign,
+    underscores and non-ASCII digits, and raises a bare ValueError past 4300 digits."""
+    digits = token.lstrip(b"0") or b"0"
+    if not token.isdigit() or len(digits) > 18:
+        raise PgmError(f"{what} {token[:24]!r} is not a decimal number below 10**18")
+    return int(digits)
+
+
 def _tokenize_header(data: bytes, count: int) -> tuple[list[int], int]:
     """Read `count` whitespace-separated integer tokens, skipping # comments.
 
@@ -74,10 +84,7 @@ def _tokenize_header(data: bytes, count: int) -> tuple[list[int], int]:
             i += 1
         if i == start:
             raise PgmTruncatedError("header ended before all fields were read")
-        try:
-            tokens.append(int(data[start:i]))
-        except ValueError:
-            raise PgmError(f"non-numeric header field {data[start:i]!r}") from None
+        tokens.append(_decimal(data[start:i], "header field"))
         i += 1  # consume the single whitespace terminator
     return tokens, i
 
@@ -107,10 +114,9 @@ def read_pgm(data: bytes) -> Image:
             raise PgmTruncatedError(
                 f"expected {count} samples, found {len(values)}"
             )
-        samples = np.array([int(v) for v in values[:count]], dtype=np.int64)
-        if samples.min() < 0 or samples.max() > maxval:
-            raise PgmError("sample value outside [0, maxval]")
-        samples = samples.astype(np.uint8)
+        samples = np.array([_decimal(v, "sample") for v in values[:count]], np.int64)
+    if samples.max() > maxval:
+        raise PgmError(f"sample value above maxval {maxval}")
     return Image(samples.reshape(height, width))
 
 

@@ -156,8 +156,11 @@ def by_symbol(mapping: dict) -> tuple[np.ndarray, np.ndarray]:
 
 
 def book_of(lengths: dict) -> CodeBook:
-    """CodeBook from a {symbol: code length} dict."""
-    return CodeBook(*by_symbol(lengths))
+    """CodeBook from a {symbol: code length} dict, its symbols sorted by
+    (length, symbol) as a book holds them."""
+    symbols = sorted(lengths, key=lambda s: (lengths[s], s))
+    rows = np.array(symbols, dtype=np.int64).reshape(len(symbols), -1)
+    return CodeBook(rows, np.array([lengths[s] for s in symbols], dtype=np.int64))
 
 
 def canonical_codes_reference(lengths) -> list[int]:

@@ -109,9 +109,9 @@ def test_criterion_4_entropy_fuzz():
         seq = rng.integers(-2047, 2048, size=n).tolist()
         for g in (1, 2, 4, 8):
             rows, ids, counts, _ = entropy.group_symbols(seq, g)
-            book = entropy.build_codebook(rows, counts)
+            book, rank = entropy.build_codebook(rows, counts)
             check_book(book)
-            payload, nbits = entropy.encode(ids, book)
+            payload, nbits = entropy.encode(rank[ids], book)
             decoded = entropy.decode(payload, book, len(ids), nbits)
             assert book.rows[decoded].reshape(-1)[:n].tolist() == seq
 
@@ -123,7 +123,7 @@ def test_criterion_5_reduction_arithmetic():
 
     rows, _, counts, _ = entropy.group_symbols([1, 2, 3, 4, 5, 6, 7, 8], 4)
     assert rows.tolist() == [[1, 2, 3, 4], [5, 6, 7, 8]] and counts.tolist() == [1, 1]
-    book = entropy.build_codebook(rows, counts)
+    book, _ = entropy.build_codebook(rows, counts)
     assert book.code_lengths.tolist() == [1, 1]
     assert code_strings(book) == ["0", "1"]
     assert int(counts @ book.code_lengths) / int(counts.sum()) == 1.0

@@ -63,6 +63,19 @@ class TestCompressCommand:
         assert rc == cli.EXIT_FORMAT
         assert capsys.readouterr().err.startswith("error: pgm-magic:")
 
+    @pytest.mark.parametrize("data", [
+        b"P2 2 1 255 1 x", b"P2 2 1 255 1 " + b"9" * 23, b"P5 1_0 1 255 " + bytes(10),
+        b"P5 2 1 100 \xc8\xc8",
+    ], ids=["non-numeric-sample", "23-digit-sample", "underscore-width",
+            "p5-sample-above-maxval"])
+    def test_malformed_pgm_token(self, tmp_path, capsys, data):
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(data)
+        rc = cli.main(["compress", str(bad), str(tmp_path / "o")])
+        assert rc == cli.EXIT_FORMAT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: pgm:")
+
     def test_image_too_large(self, tmp_path, capsys):
         # the padded width 65536 does not fit the header's u16 field
         src = write_image(tmp_path / "wide.pgm", "gradient", 65535, 1)
@@ -151,17 +164,20 @@ def mutation_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("mutations")
 
 
+def mutated(data, samples) -> bytes:
+    """One of samples with one byte changed, as drawn from hypothesis data."""
+    sample = data.draw(st.sampled_from(samples))
+    pos = data.draw(st.integers(0, len(sample) - 1))
+    value = data.draw(st.integers(0, 255).filter(lambda v: v != sample[pos]))
+    return sample[:pos] + bytes([value]) + sample[pos + 1 :]
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_decompress_mutated_container(mutation_dir, data):
-    sample = data.draw(st.sampled_from(MUTATION_SAMPLES))
-    pos = data.draw(st.integers(0, len(sample) - 1))
-    value = data.draw(st.integers(0, 255).filter(lambda v: v != sample[pos]))
-    mutated = bytearray(sample)
-    mutated[pos] = value
     packed = mutation_dir / "mutated.hjpg"
-    packed.write_bytes(bytes(mutated))
+    packed.write_bytes(mutated(data, MUTATION_SAMPLES))
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
         rc = cli.main(["decompress", str(packed), str(mutation_dir / "back.pgm")])
@@ -169,6 +185,28 @@ def test_decompress_mutated_container(mutation_dir, data):
     if rc != cli.EXIT_OK:
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
+
+
+# One small PGM of each kind, for the mutation fuzz of compress.
+PGM_SAMPLES = [
+    b"P2\n# c\n5 3\n255\n" + " ".join(
+        map(str, generate_test_image("noise", 5, 3, 1).pixels.reshape(-1).tolist())).encode(),
+    write_pgm(generate_test_image("noise", 5, 3, 2)),
+]
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_compress_mutated_pgm(mutation_dir, data):
+    src = mutation_dir / "mutated.pgm"
+    src.write_bytes(mutated(data, PGM_SAMPLES))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = cli.main(["compress", str(src), str(mutation_dir / "out.hjpg")])
+    assert rc in (cli.EXIT_OK, cli.EXIT_FORMAT), err.getvalue()
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and all(line.startswith("error: ") for line in lines)
 
 
 class TestInspectCommand:

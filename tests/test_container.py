@@ -26,8 +26,8 @@ def random_file(rng) -> CompressedFile:
     symbols = rng.integers(-2047, 2048, size=(n, g))
     stream = np.array([symbols[int(rng.integers(0, n))] for _ in range(200)])
     rows, ids, counts, _ = entropy.group_symbols(stream.reshape(-1), g)
-    book = entropy.build_codebook(rows, counts)
-    payload, nbits = entropy.encode(ids, book)
+    book, rank = entropy.build_codebook(rows, counts)
+    payload, nbits = entropy.encode(rank[ids], book)
     bw = int(rng.integers(1, 5)) * 8
     bh = int(rng.integers(1, 5)) * 8
     return CompressedFile(

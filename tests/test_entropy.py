@@ -36,8 +36,8 @@ def bits_of(payload, nbits):
 def expand(seq, g):
     """Group, build a book and map the ids back to a flat stream, as the codec does."""
     rows, ids, counts, pad = entropy.group_symbols(seq, g)
-    book = entropy.build_codebook(rows, counts)
-    return book.rows[ids].reshape(-1)[: len(ids) * g - pad].tolist()
+    book, rank = entropy.build_codebook(rows, counts)
+    return book.rows[rank[ids]].reshape(-1)[: len(ids) * g - pad].tolist()
 
 
 # parts at and around the int16 extremes and zero, where a biased key wraps
@@ -166,29 +166,29 @@ class TestSymbolCounts:
 
 class TestBuildCodebook:
     def test_two_symbols(self):
-        book = entropy.build_codebook(*by_symbol({(A, B, C, D): 1, (E, F, G, H): 1}))
+        book, _ = entropy.build_codebook(*by_symbol({(A, B, C, D): 1, (E, F, G, H): 1}))
         assert book.group_size == 4 and book.code_lengths.tolist() == [1, 1]
         assert code_strings(book) == ["0", "1"]
 
     def test_skewed_counts(self):
         counts = [8, 4, 2, 1, 1]
-        book = entropy.build_codebook(np.arange(5).reshape(-1, 1), counts)
+        book, _ = entropy.build_codebook(np.arange(5).reshape(-1, 1), counts)
         assert book.code_lengths.tolist() == [1, 2, 3, 4, 4]
         assert int(book.code_lengths @ counts) == 30
         assert min_prefix_code_cost(counts) == 30
 
     def test_single_symbol(self):
-        book = entropy.build_codebook(np.array([[9]]), [3])
+        book, _ = entropy.build_codebook(np.array([[9]]), [3])
         assert book.code_lengths.tolist() == [1] and code_strings(book) == ["0"]
 
     def test_equiprobable_eight_is_uniform(self):
-        book = entropy.build_codebook(np.arange(8).reshape(-1, 1), [1] * 8)
+        book, _ = entropy.build_codebook(np.arange(8).reshape(-1, 1), [1] * 8)
         assert book.code_lengths.tolist() == [3] * 8
 
     def test_deterministic_ties(self):
         seq = [3, 1, 2, 0] * 5
         books = [code_ids(seq)[0] for _ in range(3)]
-        assert all(np.array_equal(b.canonical[2], books[0].canonical[2]) for b in books)
+        assert all(np.array_equal(b.codes, books[0].codes) for b in books)
         assert all(np.array_equal(b.code_lengths, books[0].code_lengths) for b in books)
 
     @settings(max_examples=200, deadline=None)
@@ -199,16 +199,33 @@ class TestBuildCodebook:
         )
     )
     def test_ties_go_to_the_smallest_symbol(self, counts):
-        book = entropy.build_codebook(*by_symbol(counts))
+        book, _ = entropy.build_codebook(*by_symbol(counts))
         assert book.lengths == huffman_lengths_reference(counts)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        counts=st.dictionaries(
+            st.tuples(st.integers(-3, 3), st.integers(-3, 3)), st.integers(1, 50),
+            min_size=1, max_size=49,
+        )
+    )
+    def test_canonical_order(self, counts):
+        rows, values = by_symbol(counts)
+        book, rank = entropy.build_codebook(rows, values)
+        lengths, by_id = book.code_lengths.tolist(), book.rows.tolist()
+        assert all(a <= b for a, b in zip(lengths, lengths[1:]))
+        assert all(by_id[k] < by_id[k + 1]  # rows ascend within each length
+                   for k in range(len(lengths) - 1) if lengths[k] == lengths[k + 1])
+        assert np.array_equal(book.rows[rank], rows)
+        assert book.code_lengths[rank].tolist() == entropy.huffman_code_lengths(values.tolist())
 
     def test_optimal_small_alphabets(self):
         rng = np.random.default_rng(0)
         for _ in range(30):
             n = int(rng.integers(2, 9))
             counts = rng.integers(1, 50, size=n).tolist()
-            book = entropy.build_codebook(np.arange(n).reshape(-1, 1), counts)
-            assert int(book.code_lengths @ counts) == min_prefix_code_cost(counts)
+            book, rank = entropy.build_codebook(np.arange(n).reshape(-1, 1), counts)
+            assert int(book.code_lengths[rank] @ counts) == min_prefix_code_cost(counts)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -218,15 +235,15 @@ class TestBuildCodebook:
         )
     )
     def test_prefix_free_and_kraft(self, counts):
-        book = entropy.build_codebook(*by_symbol(counts))
+        book, _ = entropy.build_codebook(*by_symbol(counts))
         assert kraft_sum_exact(book.code_lengths.tolist()) == 1
         assert book.kraft_sum == 1
         assert is_prefix_free(
             {i: (int(code, 2), len(code)) for i, code in enumerate(code_strings(book))}
         )
-        ids, lengths, first = book.canonical
+        shift = (64 - book.code_lengths).astype(np.uint64)
         codes = canonical_codes_reference(book.code_lengths.tolist())
-        assert (first >> (64 - lengths).astype(np.uint64)).tolist() == [codes[i] for i in ids]
+        assert (book.codes >> shift).tolist() == codes
 
     def test_lengths_view(self):
         # {symbol: length} with int symbols for g = 1 and tuples otherwise
@@ -250,12 +267,12 @@ def fibonacci_book(n):
     counts = [1, 1]
     while len(counts) < n:
         counts.append(counts[-1] + counts[-2])
-    return entropy.build_codebook(np.arange(n).reshape(-1, 1), counts[:n])
+    return entropy.build_codebook(np.arange(n).reshape(-1, 1), counts[:n])[0]
 
 
 books = st.one_of(
     st.lists(st.integers(1, 1000), min_size=1, max_size=40).map(
-        lambda counts: entropy.build_codebook(np.arange(len(counts)).reshape(-1, 1), counts)),
+        lambda counts: entropy.build_codebook(np.arange(len(counts)).reshape(-1, 1), counts)[0]),
     st.integers(1, 65).map(fibonacci_book),
 )
 
@@ -304,8 +321,10 @@ def decode_outcome(decoder, *args):
 
 
 def code_ids(seq, g=1):
+    """(book, ids): the book over seq cut g wide, and each row's id in it."""
     rows, ids, counts, _ = entropy.group_symbols(seq, g)
-    return entropy.build_codebook(rows, counts), ids
+    book, rank = entropy.build_codebook(rows, counts)
+    return book, rank[ids]
 
 
 class TestEncodeDecode:
@@ -412,7 +431,7 @@ class TestEncodeDecode:
         book = fibonacci_book(65)
         deepest = np.flatnonzero(book.code_lengths == 64).tolist()
         assert len(deepest) == 2
-        ids = [64, 63, 7] + deepest  # the 64-bit codes end next to the byte padding
+        ids = [0, 1, 2] + deepest  # the 64-bit codes end next to the byte padding
         payload, nbits = entropy.encode(ids, book)
         assert nbits % 8
         data = entropy.serialize_codebook(book)
@@ -427,13 +446,20 @@ class TestEncodeDecode:
             with pytest.raises(entropy.BitExhaustionError):
                 entropy.decode(b"\x00\x00", book, 2**32 - 1, bit_length)
 
-    @pytest.mark.parametrize("lengths", [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 65}])
+    @pytest.mark.parametrize("lengths", [{0: 1, 1: 1, 2: 1}, {0: 1, 1: 65}, [2, 1, 2]])
     def test_invalid_book_refused(self, lengths):
-        book = book_of(lengths)
+        # a dict goes through book_of, which puts it in canonical order; a list
+        # is the lengths of ids 0, 1, ... as they stand, here decreasing
+        if isinstance(lengths, dict):
+            book = book_of(lengths)
+        else:
+            book = entropy.CodeBook(np.arange(len(lengths)).reshape(-1, 1), np.array(lengths))
         with pytest.raises(entropy.CodebookError):
             entropy.decode(b"\x00", book, 1)
         with pytest.raises(entropy.CodebookError):
             entropy.encode([0], book)
+        with pytest.raises(entropy.CodebookError):
+            entropy.serialize_codebook(book)
 
 
 class TestCodebookSerialization:
@@ -457,8 +483,7 @@ class TestCodebookSerialization:
                 assert consumed == len(data)
                 assert np.array_equal(restored.rows, book.rows)
                 assert np.array_equal(restored.code_lengths, book.code_lengths)
-                for a, b in zip(restored.canonical, book.canonical):
-                    assert np.array_equal(a, b)
+                assert np.array_equal(restored.codes, book.codes)
 
     def test_part_outside_int16_rejected(self):
         with pytest.raises(entropy.EntropyError):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from hjpeg.image import (
     Image,
+    PgmError,
     PgmMagicError,
     PgmMaxvalError,
     PgmTruncatedError,
@@ -48,6 +49,26 @@ class TestReadPgm:
     def test_truncated_ascii(self):
         with pytest.raises(PgmTruncatedError):
             read_pgm(b"P2 2 2 255 1 2 3")
+
+    @pytest.mark.parametrize("data", [
+        pytest.param(b"P2 2 1 255 1 x", id="p2-non-numeric-sample"),
+        pytest.param(b"P2 2 1 255 1 " + b"9" * 23, id="p2-23-digit-sample"),
+        pytest.param(b"P2 2 1 255 1 " + b"9" * 5000, id="p2-5000-digit-sample"),
+        pytest.param(b"P2 2 1 255 1 -1", id="p2-negative-sample"),
+        pytest.param(b"P2 2 1 255 1 +1", id="p2-signed-sample"),
+        pytest.param(b"P5 +2 1 255 " + bytes(2), id="signed-width"),
+        pytest.param(b"P5 1_0 1 255 " + bytes(10), id="underscore-width"),
+        pytest.param("P5 \u0662 1 255 ".encode() + bytes(2), id="non-ascii-digit"),
+        pytest.param(b"P5 2 1 100 \xc8\xc8", id="p5-sample-above-maxval"),
+        pytest.param(b"P2 2 1 100 1 101", id="p2-sample-above-maxval"),
+    ])
+    def test_malformed_tokens_and_samples(self, data):
+        with pytest.raises(PgmError):
+            read_pgm(data)
+
+    def test_leading_zeros_accepted(self):
+        img = read_pgm(b"P2 02 1 0255 " + b"0" * 5000 + b"7 000")
+        assert img == make_image(2, 1, [7, 0])
 
 
 class TestWritePgm:
