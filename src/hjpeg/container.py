@@ -113,6 +113,8 @@ class CompressedFile:
             raise InvariantError("payload byte length disagrees with bit length")
         if self.symbol_count > self.payload_bit_length:
             raise InvariantError("more symbols than payload bits")
+        if self.payload_bit_length > self.symbol_count * int(self.codebook.code_lengths.max()):
+            raise InvariantError("more payload bits than the symbols' longest codes fill")
         try:
             validate_quant_table(self.quant_table)
         except ValueError as exc:

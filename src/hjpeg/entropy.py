@@ -12,9 +12,9 @@ order of JPEG's HUFFVAL (ITU-T T.81, C and B.2.4.2): by code length, then by
 symbol. A CodeBook holds the rows and their code lengths in that order, so an
 id is its code's index; CodeBook.codes derives the 64-bit left-justified codes
 from the lengths. The encoder ORs the shifted codes into 64-bit words. The
-decoder tables, for every bit position of the payload, where the code
-starting there ends, and walks that table 16 symbols per step with a table
-composed from it by pointer jumping.
+decoder matches the code at every bit position of the payload once, which
+tables both where that code ends and which code it is, then walks the table
+16 symbols per step with a table composed from it by pointer jumping.
 """
 
 from __future__ import annotations
@@ -215,16 +215,6 @@ def encode(ids, book: CodeBook) -> tuple[bytes, int]:
     return words.astype(">u8").tobytes()[: (total + 7) // 8], total
 
 
-def _windows(buf: np.ndarray, words: np.ndarray, byte: np.ndarray,
-             bit: np.ndarray) -> np.ndarray:
-    """The 64 payload bits starting at bit `bit` of byte `byte`, MSB first.
-
-    words[b] is the big-endian u64 at byte b of buf; the low bits of a
-    window that starts mid-byte come from buf[b + 8]. byte and bit broadcast.
-    """
-    return (words[byte] << bit) | (buf[byte + 8] >> (np.uint64(8) - bit))
-
-
 def decode(data: bytes, book: CodeBook, symbol_count: int,
            bit_length: int | None = None) -> np.ndarray:
     """Decode exactly symbol_count symbol ids from an MSB-first payload.
@@ -233,39 +223,49 @@ def decode(data: bytes, book: CodeBook, symbol_count: int,
     leftover coded bits raise DanglingBitsError and codes running past it
     raise BitExhaustionError. Byte-boundary padding past bit_length is ignored.
 
-    The work is done over bit positions rather than symbols. succ[p] is the
-    position after the code that starts at bit p, or p itself where no whole
-    code does; it is built in blocks by matching each position's 64-bit
-    window against the first code of each code length, as in JPEG's
-    table-driven decoding (ITU-T T.81, F.2.2.3). succ composed 16 times, by
-    four squarings, jumps 16 symbols, so a Python loop visits one symbol
-    start in 16 and 15 gathers on succ fill in the rest. These are the
-    positions a one-symbol-at-a-time decoder would reach, so the errors are
-    the same too.
+    The work is done over bit positions rather than symbols. Each position's
+    64-bit window is matched once, in blocks, against the first code of each
+    code length, as in JPEG's table-driven decoding (ITU-T T.81, F.2.2.3):
+    succ[p] is the position after the code that starts at bit p, or p itself
+    where no whole code does, and id_at[p] is that code's id. succ composed
+    16 times, by four squarings, jumps 16 symbols, so a Python loop visits
+    one symbol start in 16 and 15 gathers on succ fill in the rest; the ids
+    are gathered from id_at at those starts. These are the positions a
+    one-symbol-at-a-time decoder would reach, so the errors are the same too.
     """
     end = 8 * len(data) if bit_length is None else min(bit_length, 8 * len(data))
     if symbol_count > end:  # every code is at least one bit
         raise BitExhaustionError(f"{symbol_count} symbols cannot fit in {end} bits")
-    # one entry per code length: its first code, the id of that code and
-    # the last window that any code of this length matches
-    group_len, group_index = np.unique(book.code_lengths, return_index=True)
+    # one entry per code length, ascending: the length, its first code, and
+    # its ids, which run from group_index up to (not including) group_end
+    group_len, group_index, group_count = np.unique(
+        book.code_lengths, return_index=True, return_counts=True)
     group_first = book.codes[group_index]
     shift = (MAX_CODE_LENGTH - group_len).astype(np.uint64)
-    group_size = np.diff(group_index, append=len(book.rows)).astype(np.uint64)
-    group_last = group_first + (group_size << shift) - np.uint64(1)  # exact mod 2**64
+    group_end = (group_index + group_count).astype(np.uint64)
+    # a window w at or past group_first[g] holds code group_index[g] + k of
+    # that length, k = (w - group_first[g]) >> shift[g], which is
+    # (w >> shift[g]) + base[g] as group_first[g] ends in shift[g] zero bits
+    base = group_index.astype(np.uint64) - (group_first >> shift)  # wraps mod 2**64
 
     n_bytes = end // 8 + 1  # byte offsets of the positions 0..end
     buf = np.frombuffer(data[: n_bytes + 8].ljust(n_bytes + 8, b"\0"), np.uint8)
+    # words[b] is the big-endian u64 at byte b; a window starting mid-byte
+    # takes its low bits from buf[b + 8]
     words = np.ndarray((n_bytes,), ">u8", buf, strides=(1,)).astype(np.uint64)
     succ = np.empty(8 * n_bytes, np.intp)
+    id_at = np.empty(succ.size, np.min_scalar_type(len(book.rows) - 1))
     blocks = [slice(p, min(p + _BLOCK, succ.size)) for p in range(0, succ.size, _BLOCK)]
     bits = np.arange(8, dtype=np.uint64)
     for block in blocks:
         pos = np.arange(block.start, block.stop)
-        w = _windows(buf, words, pos[::8, None] >> 3, bits).reshape(-1)
-        g = np.searchsorted(group_first, w, "right") - 1
+        byte = pos[::8, None] >> 3
+        w = ((words[byte] << bits) | (buf[byte + 8] >> (np.uint64(8) - bits))).reshape(-1)
+        g = np.searchsorted(group_first[1:], w, "right")  # group_first[0] is 0
+        ids = (w >> shift[g]) + base[g]
         nxt = pos + group_len[g]
-        succ[block] = np.where((w <= group_last[g]) & (nxt <= end), nxt, pos)
+        succ[block] = np.where((ids < group_end[g]) & (nxt <= end), nxt, pos)
+        id_at[block] = ids  # read only where a whole code starts
     jump = succ[succ]
     for _ in range(3):
         # in place, block by block in ascending order: jump[p] >= p, so a
@@ -289,10 +289,7 @@ def decode(data: bytes, book: CodeBook, symbol_count: int,
         if (stops == starts).any():
             raise BitExhaustionError("no code matches the remaining bits")
         stop = stops[-1]
-        w = _windows(buf, words, starts >> 3, starts.view(np.uint64) & np.uint64(7))
-        g = np.searchsorted(group_first, w, "right") - 1
-        k = ((w - group_first[g]) >> shift[g]).astype(np.intp)  # index within its length
-        out[s0 : s0 + starts.size] = group_index[g] + k
+        out[s0 : s0 + starts.size] = id_at[starts]
     if bit_length is not None and stop != bit_length:
         raise DanglingBitsError(f"decoded {stop} bits but payload declares {bit_length}")
     return out
@@ -339,8 +336,9 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
     by_symbol, differs = _sort_rows(book.rows)
     if not differs.all():
         raise CodebookError("duplicate symbol in codebook")
-    symbol_step = np.diff(np.argsort(by_symbol))  # of each entry's place in symbol order
-    if ((np.diff(book.code_lengths) == 0) & (symbol_step < 0)).any():
+    place = np.empty(n, np.intp)  # each entry's place in symbol order
+    place[by_symbol] = np.arange(n)
+    if ((np.diff(book.code_lengths) == 0) & (np.diff(place) < 0)).any():
         raise CodebookError("codebook entries not in canonical order")
     if n >= 2 and book.kraft_sum != 1:
         raise KraftViolationError(f"Kraft sum {book.kraft_sum} != 1")

@@ -32,10 +32,10 @@ def level_shift(block: np.ndarray) -> np.ndarray:
 
 
 def level_unshift(block: np.ndarray) -> np.ndarray:
-    """Inverse shift: add 128, round half away from zero, clamp to [0, 255]."""
+    """Inverse shift: add 128, round half away from zero, clamp to [0, 255]; the
+    floor(x + 0.5) below differs from that only at negative ties, which clamp to 0."""
     shifted = np.asarray(block, dtype=np.float64) + 128.0
-    rounded = np.sign(shifted) * np.floor(np.abs(shifted) + 0.5)
-    return np.clip(rounded, 0, 255).astype(np.uint8)
+    return np.clip(np.floor(shifted + 0.5), 0, 255).astype(np.uint8)
 
 
 def fdct(block: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hjpeg import cli, codec, entropy
+from hjpeg import cli, codec, container, entropy
 from hjpeg.codec import CodecConfig
 from hjpeg.image import generate_test_image, read_pgm, write_pgm
 from oracles import huge_payload
@@ -146,6 +147,21 @@ class TestDecompressCommand:
         assert rc == cli.EXIT_FORMAT
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: trailing-data:")
+
+    def test_payload_longer_than_its_symbols_fill(self, tmp_path, capsys, monkeypatch):
+        # an 8x8 gradient's 16 symbols, with codes of at most 3 bits, under a
+        # payload declared 2 MiB longer
+        file, _ = codec.compress(generate_test_image("gradient", 8, 8, 0),
+                                 CodecConfig(entropy_mode="reduced", group_size=4))
+        head = container.serialize(file)[: -4 - len(file.payload)]
+        payload = file.payload + bytes(1 << 18)
+        packed = tmp_path / "long.hjpg"
+        packed.write_bytes(head + struct.pack(">I", 8 * len(payload)) + payload)
+        monkeypatch.setattr(entropy, "decode", None)
+        rc = cli.main(["decompress", str(packed), str(tmp_path / "back.pgm")])
+        assert rc == cli.EXIT_INVARIANT
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invariant:")
 
 
 # One small container per entropy configuration, for the mutation fuzz.

@@ -146,6 +146,24 @@ class TestDecompress:
         with pytest.raises(container.InvariantError):
             codec.decompress(file)
 
+    @pytest.mark.parametrize("mode,g", [("scalar", 1), ("reduced", 4)])
+    def test_payload_length_checked_before_decode(self, mode, g, monkeypatch):
+        img = generate_test_image("noise", 16, 16, 8)
+        file, _ = codec.compress(img, CodecConfig(entropy_mode=mode, group_size=g))
+        fill = file.symbol_count * int(file.codebook.code_lengths.max())
+        file.payload_bit_length = fill  # as many bits as the longest codes fill
+        file.payload = file.payload.ljust((fill + 7) // 8, b"\0")
+        file.validate()
+
+        def no_decode(*args, **kwargs):
+            raise AssertionError("payload decoded under an inconsistent header")
+
+        monkeypatch.setattr(entropy, "decode", no_decode)
+        file.payload_bit_length = fill + 1
+        file.payload = file.payload.ljust((fill + 8) // 8, b"\0")
+        with pytest.raises(container.InvariantError, match="longest codes"):
+            codec.decompress(file)
+
     def test_symbol_count_mismatch_detected(self):
         img = generate_test_image("noise", 16, 16, 8)
         file, _ = codec.compress(img, CodecConfig(entropy_mode="scalar"))

@@ -270,10 +270,23 @@ def fibonacci_book(n):
     return entropy.build_codebook(np.arange(n).reshape(-1, 1), counts[:n])[0]
 
 
-books = st.one_of(
+def incomplete(book):
+    """Strategy: book without some of its trailing, longest codes, which
+    leaves a Kraft sum below 1 and a gap at the top of the code space."""
+    n = len(book.rows)
+    return st.one_of(st.just(n - 1), st.integers(1, n - 1)).map(
+        lambda m: entropy.CodeBook(book.rows[:m], book.code_lengths[:m]))
+
+
+complete_books = st.one_of(
     st.lists(st.integers(1, 1000), min_size=1, max_size=40).map(
         lambda counts: entropy.build_codebook(np.arange(len(counts)).reshape(-1, 1), counts)[0]),
     st.integers(1, 65).map(fibonacci_book),
+)
+books = st.one_of(
+    complete_books,
+    complete_books.filter(lambda book: len(book.rows) > 1).flatmap(incomplete),
+    st.just(fibonacci_book(65)).flatmap(incomplete),  # the gap may be one 64-bit code
 )
 
 
@@ -407,6 +420,18 @@ class TestEncodeDecode:
         ]:
             assert decode_outcome(entropy.decode, *args) == decode_outcome(decode_reference, *args)
         assert entropy.decode(payload, book, len(ids), nbits).tolist() == ids.tolist()
+
+    def test_window_in_the_gap_of_an_incomplete_book(self):
+        # the Fibonacci-65 book without its last code, which is 64 one bits:
+        # no code matches the all-ones window
+        book = fibonacci_book(65)
+        book = entropy.CodeBook(book.rows[:-1], book.code_lengths[:-1])
+        short = int(np.argmin(book.code_lengths))
+        payload, nbits = entropy.encode([short] * 3, book)
+        bits = bits_of(payload, nbits) + "1" * 64
+        args = (pack(bits), book, 4, len(bits))
+        assert decode_outcome(entropy.decode, *args) is entropy.BitExhaustionError
+        assert decode_outcome(decode_reference, *args) is entropy.BitExhaustionError
 
     @settings(max_examples=200, deadline=None)
     @given(encoder_inputs())

@@ -3,7 +3,7 @@ import pytest
 
 from golden import GOLDEN_BLOCK, GOLDEN_DCT, GOLDEN_DCT_MISPRINTS
 from hjpeg import transform
-from oracles import fdct_reference
+from oracles import fdct_reference, round_half_away
 
 
 def random_blocks(n, seed=0):
@@ -44,6 +44,12 @@ class TestLevelShift:
     def test_unshift_clamps(self):
         assert np.all(transform.level_unshift(np.full((8, 8), 500.0)) == 255)
         assert np.all(transform.level_unshift(np.full((8, 8), -500.0)) == 0)
+
+    @pytest.mark.parametrize(
+        "value", [-128.5, -128.49, -127.5, -0.5, 0.5, 126.5, 127.49, 127.5, 127.51])
+    def test_unshift_ties_and_negatives(self, value):
+        expected = min(max(round_half_away(value + 128), 0), 255)
+        assert np.all(transform.level_unshift(np.full((8, 8), value)) == expected)
 
 
 class TestFdct:
