@@ -2,7 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -13,10 +14,13 @@ from .image import Image, pad_to_blocks
 
 @dataclass
 class CodecConfig:
+    """How to code an image; scalar mode sets `group_size` to 1. Every config shares
+    `quant_table`, the read-only standard table, which the container records."""
+
     entropy_mode: str = "reduced"  # "scalar" | "reduced"
     group_size: int = 4
     dc_diff: bool = False
-    quant_table: np.ndarray = field(default_factory=quantize.default_quant_table)
+    quant_table: ClassVar[np.ndarray] = quantize.DEFAULT_QUANT_TABLE
 
     def __post_init__(self):
         if self.entropy_mode not in ("scalar", "reduced"):
@@ -25,7 +29,6 @@ class CodecConfig:
             self.group_size = 1
         elif not 2 <= self.group_size <= 255:  # the header holds it in one byte
             raise ValueError("reduced mode needs a group size in [2, 255]")
-        self.quant_table = quantize.validate_quant_table(self.quant_table)
 
 
 def _to_blocks(pixels: np.ndarray) -> np.ndarray:
@@ -88,19 +91,13 @@ def compress(
 
 def decompress(file: CompressedFile) -> Image:
     file.validate()
-    n_blocks = (file.padded_width // 8) * (file.padded_height // 8)
-    n_coeffs = file.symbol_count * file.group_size - file.pad_count
-    if n_coeffs != n_blocks * 64:
-        raise container.InvariantError(
-            f"header declares {n_coeffs} coefficients, expected {n_blocks * 64}"
-        )
     ids = entropy.decode(
         file.payload, file.codebook, file.symbol_count, file.payload_bit_length
     )
-    seq = file.codebook.rows[ids].reshape(-1)[:n_coeffs]
+    seq = file.codebook.rows[ids].reshape(-1)[: file.padded_width * file.padded_height]
     if file.dc_diff:
         seq = quantize.dc_differential_decode(seq)
-    levels = quantize.inverse_zigzag(seq.reshape(n_blocks, 64))
+    levels = quantize.inverse_zigzag(seq.reshape(-1, 64))
     coeffs = quantize.dequantize(levels, file.quant_table)
     pixels = transform.level_unshift(transform.idct(coeffs))
     full = _from_blocks(pixels, file.padded_height, file.padded_width)

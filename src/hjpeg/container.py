@@ -91,6 +91,8 @@ class CompressedFile:
         )
 
     def validate(self):
+        """The "Reader checks" of docs/format.md that the fields decide, the coefficient
+        count among them; `serialize` and `deserialize` both run it."""
         if not (1 <= self.orig_width <= MAX_DIMENSION
                 and 1 <= self.orig_height <= MAX_DIMENSION):
             raise InvariantError("original dimensions out of range")
@@ -113,6 +115,10 @@ class CompressedFile:
             raise InvariantError("payload byte length disagrees with bit length")
         if self.symbol_count > self.payload_bit_length:
             raise InvariantError("more symbols than payload bits")
+        n_coeffs = self.symbol_count * self.group_size - self.pad_count
+        if n_coeffs != self.padded_width * self.padded_height:
+            raise InvariantError(f"header declares {n_coeffs} coefficients, expected "
+                                 f"{self.padded_width * self.padded_height}")
         if self.payload_bit_length > self.symbol_count * int(self.codebook.code_lengths.max()):
             raise InvariantError("more payload bits than the symbols' longest codes fill")
         try:

@@ -32,7 +32,11 @@ class Image:
     pixels: np.ndarray
 
     def __post_init__(self):
-        px = np.asarray(self.pixels, dtype=np.uint8)
+        px = np.asarray(self.pixels)
+        if px.dtype != np.uint8:  # refuse what a uint8 cast would change
+            if not np.all((px >= 0) & (px <= 255) & (px % 1 == 0)):
+                raise ValueError("pixels must be integers in 0..255")
+            px = px.astype(np.uint8)
         if px.ndim != 2 or px.size == 0:
             raise ValueError("pixels must be a non-empty 2-D array")
         object.__setattr__(self, "pixels", px)

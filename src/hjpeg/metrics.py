@@ -40,6 +40,8 @@ def psnr(a: Image, b: Image) -> float:
 
 @dataclass
 class CompressionReport:
+    """One CSV row; only a reduced row has an `improvement_pct`, set by `bench_image`."""
+
     image: str
     mode: str  # "scalar" | "reduced"
     group_size: int
@@ -49,14 +51,15 @@ class CompressionReport:
     payload_cr: float
     file_cr: float
     psnr_db: float
+    improvement_pct: float | None = None
 
     CSV_HEADER = (
         "image,mode,group_size,dc_diff,entropy_bits,l_avg,"
         "payload_cr,file_cr,psnr_db,improvement_pct"
     )
 
-    def csv_row(self, improvement_pct: float | None = None) -> str:
-        imp = "" if improvement_pct is None else f"{improvement_pct:.4f}"
+    def csv_row(self) -> str:
+        imp = "" if self.improvement_pct is None else f"{self.improvement_pct:.4f}"
         psnr_s = "inf" if math.isinf(self.psnr_db) else f"{self.psnr_db:.4f}"
         return (
             f"{self.image},{self.mode},{self.group_size},"

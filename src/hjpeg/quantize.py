@@ -18,6 +18,7 @@ DEFAULT_QUANT_TABLE = np.array(
     ],
     dtype=np.int64,
 )
+DEFAULT_QUANT_TABLE.flags.writeable = False  # shared by every CodecConfig
 
 BLOCK_COEFFS = 64
 

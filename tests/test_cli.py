@@ -250,6 +250,22 @@ class TestInspectCommand:
         rc = cli.main(["inspect", str(bad)])
         assert rc == cli.EXIT_FORMAT
 
+    @pytest.mark.parametrize("command", ["inspect", "decompress"])
+    def test_one_symbol_short(self, tmp_path, capsys, command):
+        # a valid container whose header declares one symbol fewer than it codes
+        data = bytearray(codec.compress_bytes(generate_test_image("noise", 16, 16, 8)))
+        count = int.from_bytes(data[16:20], "big")  # symbol count
+        data[16:20] = (count - 1).to_bytes(4, "big")
+        packed = tmp_path / "short.hjpg"
+        packed.write_bytes(bytes(data))
+        outputs = [str(tmp_path / "back.pgm")] if command == "decompress" else []
+        rc = cli.main([command, str(packed), *outputs])
+        assert rc == cli.EXIT_INVARIANT
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: invariant:")
+        assert captured.out == ""
+
 
 class TestBenchCommand:
     def test_directory_corpus(self, tmp_path, capsys):
@@ -289,6 +305,18 @@ class TestBenchCommand:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: usage:")
         assert captured.out == "" and not out.exists()
+
+    def test_improvement_on_reduced_reports(self):
+        img = generate_test_image("noise", 24, 16, 3)
+        reports = cli.bench_image("noise", img, group_size=4)
+        scalar = {r.dc_diff: r for r in reports if r.mode == "scalar"}
+        assert len(reports) == 4 and len(scalar) == 2
+        for r in reports:
+            if r.mode == "scalar":
+                assert r.improvement_pct is None
+            else:
+                assert r.improvement_pct == 100 * (
+                    r.payload_cr / scalar[r.dc_diff].payload_cr - 1)
 
     def test_improvement_column_present(self, tmp_path):
         out = tmp_path / "r.csv"

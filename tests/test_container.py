@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hjpeg import container, entropy
+from hjpeg import codec, container, entropy
 from hjpeg.container import (
     BadMagicError,
     CompressedFile,
@@ -16,6 +16,7 @@ from hjpeg.container import (
     deserialize,
     serialize,
 )
+from hjpeg.image import generate_test_image
 from hjpeg.quantize import default_quant_table
 from oracles import book_of, huge_payload
 
@@ -24,12 +25,13 @@ def random_file(rng) -> CompressedFile:
     g = int(rng.choice([1, 2, 4, 8]))
     n = int(rng.integers(1, 50))
     symbols = rng.integers(-2047, 2048, size=(n, g))
-    stream = np.array([symbols[int(rng.integers(0, n))] for _ in range(200)])
-    rows, ids, counts, _ = entropy.group_symbols(stream.reshape(-1), g)
-    book, rank = entropy.build_codebook(rows, counts)
-    payload, nbits = entropy.encode(rank[ids], book)
     bw = int(rng.integers(1, 5)) * 8
     bh = int(rng.integers(1, 5)) * 8
+    # exactly the coefficients of a bw x bh padded image
+    stream = symbols[rng.integers(0, n, size=-(-bw * bh // g))].reshape(-1)[: bw * bh]
+    rows, ids, counts, pad_count = entropy.group_symbols(stream, g)
+    book, rank = entropy.build_codebook(rows, counts)
+    payload, nbits = entropy.encode(rank[ids], book)
     return CompressedFile(
         group_size=g,
         dc_diff=bool(rng.integers(0, 2)),
@@ -37,7 +39,7 @@ def random_file(rng) -> CompressedFile:
         orig_height=bh - int(rng.integers(0, 7)),
         padded_width=bw,
         padded_height=bh,
-        pad_count=int(rng.integers(0, g)),
+        pad_count=pad_count,
         symbol_count=len(ids),
         quant_table=default_quant_table(),
         codebook=book,
@@ -72,14 +74,16 @@ class TestRoundTrip:
         assert len(data) == expected
 
     def test_flags_byte(self):
+        # an 8x8 image: 16 four-coefficient symbols, coded 1 bit each
         f = random_file(np.random.default_rng(10))
+        f.orig_width = f.orig_height = f.padded_width = f.padded_height = 8
         f.group_size = 4
         f.pad_count = 0
         f.codebook = book_of({(0, 0, 0, 0): 1})
         f.dc_diff = True
-        f.symbol_count = 3
-        f.payload = b"\x00"
-        f.payload_bit_length = 3
+        f.symbol_count = 16
+        f.payload = b"\x00\x00"
+        f.payload_bit_length = 16
         assert serialize(f)[5] == 0x03
 
 
@@ -162,6 +166,13 @@ class TestCorruption:
         assert not isinstance(info.value, InvariantError)
         with pytest.raises(GroupSizeTooLargeError):
             serialize(f)
+
+    def test_serialize_rejects_coefficient_count_mismatch(self):
+        file, _ = codec.compress(generate_test_image("noise", 16, 16, 8))
+        serialize(file)
+        file.symbol_count -= 1
+        with pytest.raises(InvariantError, match="coefficients"):
+            serialize(file)
 
     def test_trailing_bytes_rejected(self, sample):
         with pytest.raises(TrailingDataError) as info:

@@ -20,6 +20,18 @@ def make_image(width, height, values):
     return Image(np.array(values, dtype=np.uint8).reshape(height, width))
 
 
+class TestImage:
+    @pytest.mark.parametrize("value", [256, -1, 3.7])
+    @pytest.mark.parametrize("wrap", [list, np.array])
+    def test_values_a_uint8_cast_would_change_refused(self, value, wrap):
+        with pytest.raises(ValueError, match="integers in 0..255"):
+            Image(wrap([[1, value]]))
+
+    @pytest.mark.parametrize("values", [[[1.0, 2]], [[0, 255], [7, 8]]])
+    def test_integral_values_accepted(self, values):
+        assert Image(values) == Image(np.array(values, dtype=np.uint8))
+
+
 class TestReadPgm:
     def test_binary_p5(self):
         img = read_pgm(b"P5 2 2 255 " + bytes([0, 128, 255, 7]))
