@@ -13,7 +13,6 @@ import numpy as np
 
 from . import entropy
 from .entropy import CodeBook
-from .quantize import validate_quant_table
 
 MAGIC = b"HJPG"
 VERSION = 1
@@ -92,10 +91,10 @@ class CompressedFile:
 
     def validate(self):
         """The "Reader checks" of docs/format.md that the fields decide, the coefficient
-        count among them; `serialize` and `deserialize` both run it."""
-        if not (1 <= self.orig_width <= MAX_DIMENSION
-                and 1 <= self.orig_height <= MAX_DIMENSION):
-            raise InvariantError("original dimensions out of range")
+        count among them; `serialize` and `deserialize` both run it. Only fields that
+        contradict each other raise InvariantError."""
+        if self.orig_width < 1 or self.orig_height < 1:
+            raise ContainerError("original dimensions must be at least 1")
         padded = padded_size(self.orig_width, self.orig_height)
         if (self.padded_width, self.padded_height) != padded:
             raise InvariantError(
@@ -121,10 +120,10 @@ class CompressedFile:
                                  f"{self.padded_width * self.padded_height}")
         if self.payload_bit_length > self.symbol_count * int(self.codebook.code_lengths.max()):
             raise InvariantError("more payload bits than the symbols' longest codes fill")
-        try:
-            validate_quant_table(self.quant_table)
-        except ValueError as exc:
-            raise ContainerError(str(exc)) from None
+        if np.shape(self.quant_table) != (8, 8):
+            raise ContainerError("quantization table must be 8x8")
+        if np.min(self.quant_table) < 1 or np.max(self.quant_table) > 255:
+            raise ContainerError("quantization steps must be in [1, 255]")
 
 
 def serialize(file: CompressedFile) -> bytes:
@@ -161,6 +160,8 @@ def deserialize(data: bytes) -> CompressedFile:
      pad_count, symbol_count) = _HEADER.unpack_from(data)
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported version {version}")
+    if flags & ~(FLAG_REDUCED | FLAG_DC_DIFF):
+        raise ContainerError(f"reserved flag bits set in {flags:#04x}")
     if bool(flags & FLAG_REDUCED) != (group_size > 1):
         raise InvariantError("reduced-mode flag disagrees with group size")
     pos = _HEADER.size

@@ -108,10 +108,22 @@ def group_symbols(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
 class CodeBook:
     """Canonical prefix code as two arrays in canonical order: rows is the (n, g)
     int64 alphabet by code length, then by symbol, and code_lengths[k] is the
-    length of rows[k]. Id k, the row index, gets the k-th canonical code."""
+    length of rows[k]. Id k, the row index, gets the k-th canonical code. The
+    constructor refuses lengths outside 1..64 or decreasing, a Kraft sum above 1
+    and parts outside the signed 16-bit range, so a book needs no later check."""
 
     rows: np.ndarray
     code_lengths: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        lengths = self.code_lengths
+        if lengths.size and (lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH):
+            raise InvalidCodeLengthError("code length out of range")
+        if (np.diff(lengths) < 0).any():
+            raise CodebookError("code lengths not in canonical order")
+        if self.kraft_sum > 1:
+            raise KraftViolationError(f"Kraft sum {self.kraft_sum} > 1")
+        _check_int16(self.rows)
 
     @property
     def group_size(self) -> int:
@@ -128,15 +140,8 @@ class CodeBook:
     @cached_property
     def codes(self) -> np.ndarray:
         """codes[k], the code of id k left-justified to 64 bits: the exclusive prefix
-        sum of 2**(64 - length). That is a prefix code, exact in uint64, as the lengths
-        are checked to lie in 1..64 and not decrease, with a Kraft sum of at most 1."""
+        sum of 2**(64 - length): a prefix code, exact in uint64, by the checks above."""
         lengths = self.code_lengths.astype(np.int64)
-        if lengths.size and (lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH):
-            raise InvalidCodeLengthError("code length out of range")
-        if (np.diff(lengths) < 0).any():
-            raise CodebookError("code lengths not in canonical order")
-        if self.kraft_sum > 1:
-            raise KraftViolationError(f"Kraft sum {self.kraft_sum} > 1")
         span = np.uint64(1) << (MAX_CODE_LENGTH - lengths).astype(np.uint64)
         return np.cumsum(span) - span
 
@@ -215,12 +220,11 @@ def encode(ids, book: CodeBook) -> tuple[bytes, int]:
     return words.astype(">u8").tobytes()[: (total + 7) // 8], total
 
 
-def decode(data: bytes, book: CodeBook, symbol_count: int,
-           bit_length: int | None = None) -> np.ndarray:
+def decode(data: bytes, book: CodeBook, symbol_count: int, bit_length: int) -> np.ndarray:
     """Decode exactly symbol_count symbol ids from an MSB-first payload.
 
-    If bit_length is given, the decoded codes must consume it exactly;
-    leftover coded bits raise DanglingBitsError and codes running past it
+    The decoded codes must consume the first bit_length bits of data exactly;
+    leftover coded bits raise DanglingBitsError and codes running past them
     raise BitExhaustionError. Byte-boundary padding past bit_length is ignored.
 
     The work is done over bit positions rather than symbols. Each position's
@@ -233,7 +237,7 @@ def decode(data: bytes, book: CodeBook, symbol_count: int,
     are gathered from id_at at those starts. These are the positions a
     one-symbol-at-a-time decoder would reach, so the errors are the same too.
     """
-    end = 8 * len(data) if bit_length is None else min(bit_length, 8 * len(data))
+    end = min(bit_length, 8 * len(data))
     if symbol_count > end:  # every code is at least one bit
         raise BitExhaustionError(f"{symbol_count} symbols cannot fit in {end} bits")
     # one entry per code length, ascending: the length, its first code, and
@@ -290,7 +294,7 @@ def decode(data: bytes, book: CodeBook, symbol_count: int,
             raise BitExhaustionError("no code matches the remaining bits")
         stop = stops[-1]
         out[s0 : s0 + starts.size] = id_at[starts]
-    if bit_length is not None and stop != bit_length:
+    if stop != bit_length:
         raise DanglingBitsError(f"decoded {stop} bits but payload declares {bit_length}")
     return out
 
@@ -302,9 +306,8 @@ def _entry_dtype(g: int) -> np.dtype:
 def serialize_codebook(book: CodeBook) -> bytes:
     """Symbol count (u32 BE), then per symbol in id order, which is canonical:
     group_size signed 16-bit parts followed by one length byte."""
-    book.codes  # refuses lengths out of range or order, or a Kraft sum above 1
     entries = np.empty(len(book.rows), _entry_dtype(book.group_size))
-    entries["parts"] = _check_int16(book.rows)
+    entries["parts"] = book.rows
     entries["length"] = book.code_lengths
     return struct.pack(">I", len(entries)) + entries.tobytes()
 
@@ -313,9 +316,9 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
     """Inverse of serialize_codebook; returns (book, bytes consumed).
 
     The entries become the book's rows as they are, so the codes assigned
-    from the stored lengths are the encoder's. CodeBook.codes checks the length
-    range and order; the sort of group_symbols checks that the symbols are
-    distinct and ascend within each length; the Kraft sum must be exactly 1.
+    from the stored lengths are the encoder's. CodeBook checks what any book must
+    hold; here the sort of group_symbols checks that the symbols are distinct and
+    ascend within each length, and the Kraft sum must be exactly 1.
     """
     if group_size < 1:
         raise CodebookError(f"group size must be >= 1, got {group_size}")
@@ -332,7 +335,6 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
             f"codebook declares {n} symbols but only {fit} fit")
     entries = np.frombuffer(data, entry, count=n, offset=4)
     book = CodeBook(entries["parts"].astype(np.int64), entries["length"].astype(np.int64))
-    book.codes  # lengths in range and order, Kraft sum at most 1
     by_symbol, differs = _sort_rows(book.rows)
     if not differs.all():
         raise CodebookError("duplicate symbol in codebook")

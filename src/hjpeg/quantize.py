@@ -33,19 +33,6 @@ ZIGZAG_INDEX = np.array([r * 8 + c for r, c in ZIGZAG_POSITIONS])
 INVERSE_ZIGZAG_INDEX = np.argsort(ZIGZAG_INDEX)
 
 
-def default_quant_table() -> np.ndarray:
-    return DEFAULT_QUANT_TABLE.copy()
-
-
-def validate_quant_table(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=np.int64)
-    if q.shape != (8, 8):
-        raise ValueError("quantization table must be 8x8")
-    if q.min() < 1 or q.max() > 255:
-        raise ValueError("quantization steps must be in [1, 255]")
-    return q
-
-
 def quantize(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Divide by the table and round half away from zero; int16 result."""
     c = np.asarray(coeffs, dtype=np.float64)

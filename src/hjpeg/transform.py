@@ -7,20 +7,11 @@ import numpy as np
 N = 8
 
 
-def alpha(k: int, n: int = N) -> float:
-    """DCT normalization factor: sqrt(1/n) for k == 0, sqrt(2/n) otherwise."""
-    if not 0 <= k < n:
-        raise ValueError(f"k={k} out of range [0, {n})")
-    return np.sqrt(1.0 / n) if k == 0 else np.sqrt(2.0 / n)
-
-
-def _basis_matrix(n: int = N) -> np.ndarray:
-    """C[i, m] = alpha(i) * cos(pi * (2m + 1) * i / (2n)); orthogonal."""
-    i = np.arange(n)[:, None]
-    m = np.arange(n)[None, :]
-    c = np.cos(np.pi * (2 * m + 1) * i / (2 * n))
-    scale = np.array([alpha(k, n) for k in range(n)])[:, None]
-    return scale * c
+def _basis_matrix() -> np.ndarray:
+    """C[i, m] = a(i) * cos(pi * (2m + 1) * i / 16), a(0) = sqrt(1/8), else sqrt(2/8)."""
+    i, m = np.arange(N)[:, None], np.arange(N)[None, :]
+    c = np.cos(np.pi * (2 * m + 1) * i / (2 * N))
+    return np.where(i == 0, np.sqrt(1.0 / N), np.sqrt(2.0 / N)) * c
 
 
 _C = _basis_matrix()

@@ -200,7 +200,7 @@ def encode_reference(ids, book: CodeBook) -> tuple[bytes, int]:
 
 
 def decode_reference(data: bytes, book: CodeBook, symbol_count: int,
-                     bit_length: int | None = None) -> np.ndarray:
+                     bit_length: int) -> np.ndarray:
     """Decode symbol ids by probing per-length tables of '0'/'1' code strings.
 
     One symbol at a time, shortest length first; raises the same errors as
@@ -223,11 +223,11 @@ def decode_reference(data: bytes, book: CodeBook, symbol_count: int,
                 break
         else:
             raise BitExhaustionError("no code matches the remaining bits")
-        if bit_length is not None and pos > bit_length:
+        if pos > bit_length:
             raise BitExhaustionError(
                 f"code ran past the declared payload bit length {bit_length}"
             )
-    if bit_length is not None and pos != bit_length:
+    if pos != bit_length:
         raise DanglingBitsError(
             f"decoded {pos} bits but payload declares {bit_length}"
         )

@@ -92,7 +92,7 @@ def test_criterion_2_round_trip():
 
 @criterion(3, "quantization matches the independent oracle")
 def test_criterion_3_quantization_oracle():
-    q = quantize.default_quant_table()
+    q = quantize.DEFAULT_QUANT_TABLE
     levels = quantize.quantize(GOLDEN_DCT, q)
     assert levels.tolist() == quantize_oracle(GOLDEN_DCT.tolist(), q.tolist())
 

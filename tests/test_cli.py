@@ -266,6 +266,26 @@ class TestInspectCommand:
         assert len(lines) == 1 and lines[0].startswith("error: invariant:")
         assert captured.out == ""
 
+    @pytest.mark.parametrize("command", ["inspect", "decompress"])
+    @pytest.mark.parametrize("pos,value,error", [
+        (5, b"\x05", "container"), (5, b"\x81", "container"),  # reserved flag bits 2, 7
+        (7, b"\x00\x00", "container"), (9, b"\x00\x00", "container"),
+        (7, b"\xff\xff", "image-too-large"), (9, b"\xff\xff", "image-too-large"),
+    ], ids=["flag-bit-2", "flag-bit-7", "width-0", "height-0", "width-65535", "height-65535"])
+    def test_header_field_bad_on_its_own(self, tmp_path, capsys, command, pos, value, error):
+        data = bytearray(codec.compress_bytes(generate_test_image("noise", 16, 16, 8)))
+        assert data[5] == container.FLAG_REDUCED
+        data[pos : pos + len(value)] = value
+        packed = tmp_path / "bad.hjpg"
+        packed.write_bytes(bytes(data))
+        outputs = [str(tmp_path / "back.pgm")] if command == "decompress" else []
+        rc = cli.main([command, str(packed), *outputs])
+        assert rc == cli.EXIT_FORMAT
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {error}:")
+        assert captured.out == ""
+
 
 class TestBenchCommand:
     def test_directory_corpus(self, tmp_path, capsys):

@@ -62,11 +62,11 @@ class TestCompress:
     def test_quantized_stage_matches_oracle(self):
         # bare transform of the golden block (no level shift), quantized
         levels = quantize.quantize(
-            transform.fdct(GOLDEN_BLOCK), quantize.default_quant_table()
+            transform.fdct(GOLDEN_BLOCK), quantize.DEFAULT_QUANT_TABLE
         )
         expected = quantize_oracle(
             transform.fdct(GOLDEN_BLOCK).tolist(),
-            quantize.default_quant_table().tolist(),
+            quantize.DEFAULT_QUANT_TABLE.tolist(),
         )
         assert levels.tolist() == expected
 

@@ -17,7 +17,7 @@ from hjpeg.container import (
     serialize,
 )
 from hjpeg.image import generate_test_image
-from hjpeg.quantize import default_quant_table
+from hjpeg.quantize import DEFAULT_QUANT_TABLE
 from oracles import book_of, huge_payload
 
 
@@ -41,7 +41,7 @@ def random_file(rng) -> CompressedFile:
         padded_height=bh,
         pad_count=pad_count,
         symbol_count=len(ids),
-        quant_table=default_quant_table(),
+        quant_table=DEFAULT_QUANT_TABLE,
         codebook=book,
         payload=payload,
         payload_bit_length=nbits,
@@ -134,6 +134,38 @@ class TestCorruption:
         with pytest.raises(ContainerError) as info:
             deserialize(bytes(data))
         assert not isinstance(info.value, InvariantError)
+
+    @pytest.mark.parametrize("bit", [0x04, 0x80])
+    def test_reserved_flag_bit_is_malformed(self, sample, bit):
+        data = bytearray(sample)
+        data[5] |= bit
+        with pytest.raises(ContainerError, match="reserved flag bits") as info:
+            deserialize(bytes(data))
+        assert not isinstance(info.value, InvariantError)
+
+    @pytest.mark.parametrize("table,message", [
+        (DEFAULT_QUANT_TABLE[:4, :4], "must be 8x8"),
+        (np.where(DEFAULT_QUANT_TABLE == 16, 256, DEFAULT_QUANT_TABLE), r"in \[1, 255\]"),
+    ], ids=["4x4", "step-256"])
+    def test_serialize_rejects_bad_quant_table(self, table, message):
+        f = random_file(np.random.default_rng(18))
+        f.quant_table = table
+        with pytest.raises(ContainerError, match=message) as info:
+            serialize(f)
+        assert not isinstance(info.value, InvariantError)
+
+    @pytest.mark.parametrize("side,error", [(0, ContainerError), (65535, ImageTooLargeError)])
+    def test_bad_original_side_is_malformed(self, sample, side, error):
+        # refused as a field bad on its own, by the reader and the writer alike
+        f = random_file(np.random.default_rng(19))
+        f.orig_height = side
+        for pos in (7, 9):  # original width, then height
+            data = bytearray(sample)
+            data[pos : pos + 2] = side.to_bytes(2, "big")
+            for refuse in (lambda: deserialize(bytes(data)), lambda: serialize(f)):
+                with pytest.raises(error) as info:
+                    refuse()
+                assert not isinstance(info.value, InvariantError)
 
     def test_padding_beyond_ceil8_rejected(self, sample):
         data = bytearray(sample)

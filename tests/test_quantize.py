@@ -10,40 +10,35 @@ from oracles import quantize_oracle
 
 class TestDefaultTable:
     def test_anchor_entries(self):
-        q = quantize.default_quant_table()
+        q = quantize.DEFAULT_QUANT_TABLE
         assert q[0, 0] == 16
         assert q[0, 7] == 61
         assert q[7, 0] == 72
 
     def test_full_first_row(self):
-        assert list(quantize.default_quant_table()[0]) == [16, 11, 10, 16, 24, 40, 51, 61]
+        assert list(quantize.DEFAULT_QUANT_TABLE[0]) == [16, 11, 10, 16, 24, 40, 51, 61]
 
     def test_valid(self):
-        q = quantize.default_quant_table()
+        q = quantize.DEFAULT_QUANT_TABLE
         assert q.shape == (8, 8)
         assert q.min() >= 1 and q.max() <= 255
-
-    def test_copy_returned(self):
-        q = quantize.default_quant_table()
-        q[0, 0] = 99
-        assert quantize.default_quant_table()[0, 0] == 16
 
 
 class TestQuantize:
     def test_golden_against_oracle(self):
-        q = quantize.default_quant_table()
+        q = quantize.DEFAULT_QUANT_TABLE
         levels = quantize.quantize(GOLDEN_DCT, q)
         expected = quantize_oracle(GOLDEN_DCT.tolist(), q.tolist())
         assert levels.tolist() == expected
 
     def test_dc_example(self):
-        q = quantize.default_quant_table()
+        q = quantize.DEFAULT_QUANT_TABLE
         levels = quantize.quantize(GOLDEN_DCT, q)
         assert levels[0, 0] == 26  # 421.00 / 16
         assert levels[0, 1] == 18  # 203.33 / 11
 
     def test_zero_maps_to_zero(self):
-        q = quantize.default_quant_table()
+        q = quantize.DEFAULT_QUANT_TABLE
         assert np.all(quantize.quantize(np.zeros((8, 8)), q) == 0)
 
     def test_half_away_from_zero(self):
@@ -54,21 +49,21 @@ class TestQuantize:
         assert levels[0, 0] == -1 and levels[0, 1] == 1
 
     def test_dequantize_product(self):
-        q = quantize.default_quant_table()
+        q = quantize.DEFAULT_QUANT_TABLE
         levels = np.zeros((8, 8), dtype=np.int16)
         levels[0, 0] = 26
         assert quantize.dequantize(levels, q)[0, 0] == 416.0
 
     def test_quantization_error_bound(self):
         rng = np.random.default_rng(0)
-        q = quantize.default_quant_table()
+        q = quantize.DEFAULT_QUANT_TABLE
         coeffs = rng.uniform(-1000, 1000, size=(50, 8, 8))
         restored = quantize.dequantize(quantize.quantize(coeffs, q), q)
         assert np.all(np.abs(restored - coeffs) <= q / 2 + 1e-9)
 
     def test_requantize_idempotent(self):
         rng = np.random.default_rng(1)
-        q = quantize.default_quant_table()
+        q = quantize.DEFAULT_QUANT_TABLE
         levels = rng.integers(-2047, 2048, size=(20, 8, 8)).astype(np.int16)
         again = quantize.quantize(quantize.dequantize(levels, q), q)
         assert np.array_equal(again, levels)

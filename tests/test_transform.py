@@ -11,19 +11,6 @@ def random_blocks(n, seed=0):
     return rng.uniform(-128, 127, size=(n, 8, 8))
 
 
-class TestAlpha:
-    def test_values(self):
-        assert transform.alpha(0, 8) == pytest.approx(np.sqrt(1 / 8))
-        assert transform.alpha(1, 8) == pytest.approx(0.5)
-        assert transform.alpha(7, 8) == pytest.approx(0.5)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError):
-            transform.alpha(8, 8)
-        with pytest.raises(ValueError):
-            transform.alpha(-1, 8)
-
-
 class TestLevelShift:
     def test_endpoints(self):
         block = np.array([[0, 128, 255]] * 8)[:, [0, 1, 2, 0, 1, 2, 0, 1]]
