@@ -48,7 +48,6 @@ def _run(name: str, img: Image,
     original_bits = img.width * img.height * 8
     report = CompressionReport(
         image=name,
-        mode=cfg.entropy_mode,
         group_size=cfg.group_size,
         dc_diff=cfg.dc_diff,
         entropy_bits=metrics.empirical_entropy(counts),
@@ -98,7 +97,8 @@ def cmd_inspect(args) -> int:
 
 def _load_corpus(corpus: str | None) -> list[tuple[str, Image]]:
     if corpus:
-        paths = sorted(Path(corpus).glob("*.pgm"))
+        # iterdir, unlike glob, raises an OSError when the directory is missing
+        paths = sorted(p for p in Path(corpus).iterdir() if p.suffix == ".pgm")
         if not paths:
             raise ValueError(f"no .pgm files in {corpus}")
         return [(p.name, read_pgm(p.read_bytes())) for p in paths]

@@ -66,27 +66,19 @@ def compress(
 ) -> tuple[CompressedFile, np.ndarray]:
     """The container for `img` and how often each symbol of its sorted alphabet occurs."""
     cfg = cfg or CodecConfig()
-    padded_width, padded_height = container.padded_size(img.width, img.height)
-    rows, ids, counts, pad_count = entropy.group_symbols(
-        image_to_symbols(img, cfg), cfg.group_size
-    )
+    container.padded_size(img.width, img.height)  # refuse a too-large image up front
+    rows, ids, counts, _ = entropy.group_symbols(image_to_symbols(img, cfg), cfg.group_size)
     book, rank = entropy.build_codebook(rows, counts)
     payload, bit_length = entropy.encode(rank[ids], book)
-    file = CompressedFile(
-        group_size=cfg.group_size,
+    return CompressedFile(
         dc_diff=cfg.dc_diff,
         orig_width=img.width,
         orig_height=img.height,
-        padded_width=padded_width,
-        padded_height=padded_height,
-        pad_count=pad_count,
-        symbol_count=len(ids),
         quant_table=cfg.quant_table,
         codebook=book,
         payload=payload,
         payload_bit_length=bit_length,
-    )
-    return file, counts
+    ), counts
 
 
 def decompress(file: CompressedFile) -> Image:

@@ -70,18 +70,36 @@ def padded_size(width: int, height: int) -> tuple[int, int]:
 
 @dataclass
 class CompressedFile:
-    group_size: int
+    """What a container holds that nothing else decides. The header's padded sides,
+    pad count and symbol count follow from the original size and the codebook's g."""
+
     dc_diff: bool
     orig_width: int
     orig_height: int
-    padded_width: int
-    padded_height: int
-    pad_count: int
-    symbol_count: int
     quant_table: np.ndarray
     codebook: CodeBook
     payload: bytes
     payload_bit_length: int
+
+    @property
+    def group_size(self) -> int:
+        return self.codebook.group_size
+
+    @property
+    def padded_width(self) -> int:
+        return padded_size(self.orig_width, self.orig_height)[0]
+
+    @property
+    def padded_height(self) -> int:
+        return padded_size(self.orig_width, self.orig_height)[1]
+
+    @property
+    def symbol_count(self) -> int:
+        return -(-self.padded_width * self.padded_height // self.group_size)
+
+    @property
+    def pad_count(self) -> int:
+        return self.symbol_count * self.group_size - self.padded_width * self.padded_height
 
     @property
     def flags(self) -> int:
@@ -90,35 +108,23 @@ class CompressedFile:
         )
 
     def validate(self):
-        """The "Reader checks" of docs/format.md that the fields decide, the coefficient
-        count among them; `serialize` and `deserialize` both run it. Only fields that
-        contradict each other raise InvariantError."""
+        """The "Reader checks" of docs/format.md that the stored fields decide;
+        `serialize` and `deserialize` both run it. The payload checks use the derived
+        symbol count. Only fields that contradict each other raise InvariantError."""
         if self.orig_width < 1 or self.orig_height < 1:
             raise ContainerError("original dimensions must be at least 1")
-        padded = padded_size(self.orig_width, self.orig_height)
-        if (self.padded_width, self.padded_height) != padded:
-            raise InvariantError(
-                "padded dimensions must round the original up to a multiple of 8"
-            )
         if self.group_size < 1:
             raise InvariantError("group size must be >= 1")
         if self.group_size > 0xFF:
             raise GroupSizeTooLargeError("group size does not fit a u8 field")
-        if not 0 <= self.pad_count < self.group_size:
-            raise InvariantError("pad_count must be in [0, group_size)")
-        if self.codebook.group_size != self.group_size:
-            raise InvariantError("codebook group size disagrees with header")
+        symbol_count = self.symbol_count  # refuses a side above MAX_DIMENSION
         if self.payload_bit_length >= 1 << 32:
             raise PayloadTooLargeError("payload bit length does not fit a u32 field")
         if len(self.payload) != (self.payload_bit_length + 7) // 8:
             raise InvariantError("payload byte length disagrees with bit length")
-        if self.symbol_count > self.payload_bit_length:
+        if symbol_count > self.payload_bit_length:
             raise InvariantError("more symbols than payload bits")
-        n_coeffs = self.symbol_count * self.group_size - self.pad_count
-        if n_coeffs != self.padded_width * self.padded_height:
-            raise InvariantError(f"header declares {n_coeffs} coefficients, expected "
-                                 f"{self.padded_width * self.padded_height}")
-        if self.payload_bit_length > self.symbol_count * int(self.codebook.code_lengths.max()):
+        if self.payload_bit_length > symbol_count * int(self.codebook.code_lengths.max()):
             raise InvariantError("more payload bits than the symbols' longest codes fill")
         if np.shape(self.quant_table) != (8, 8):
             raise ContainerError("quantization table must be 8x8")
@@ -188,18 +194,17 @@ def deserialize(data: bytes) -> CompressedFile:
     if len(data) > end:
         raise TrailingDataError(f"{len(data) - end} bytes follow the payload")
     file = CompressedFile(
-        group_size=group_size,
         dc_diff=bool(flags & FLAG_DC_DIFF),
         orig_width=orig_w,
         orig_height=orig_h,
-        padded_width=padded_w,
-        padded_height=padded_h,
-        pad_count=pad_count,
-        symbol_count=symbol_count,
         quant_table=quant,
         codebook=codebook,
         payload=data[pos:end],
         payload_bit_length=payload_bit_length,
     )
     file.validate()
+    derived = (file.padded_width, file.padded_height, file.pad_count, file.symbol_count)
+    if (padded_w, padded_h, pad_count, symbol_count) != derived:
+        raise InvariantError("padded size, pad count and symbol count must be "
+                             f"{derived}, as the original size and g decide them")
     return file

@@ -43,7 +43,6 @@ class CompressionReport:
     """One CSV row; only a reduced row has an `improvement_pct`, set by `bench_image`."""
 
     image: str
-    mode: str  # "scalar" | "reduced"
     group_size: int
     dc_diff: bool
     entropy_bits: float
@@ -57,6 +56,10 @@ class CompressionReport:
         "image,mode,group_size,dc_diff,entropy_bits,l_avg,"
         "payload_cr,file_cr,psnr_db,improvement_pct"
     )
+
+    @property
+    def mode(self) -> str:
+        return "reduced" if self.group_size > 1 else "scalar"
 
     def csv_row(self) -> str:
         imp = "" if self.improvement_pct is None else f"{self.improvement_pct:.4f}"

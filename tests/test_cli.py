@@ -250,12 +250,22 @@ class TestInspectCommand:
         rc = cli.main(["inspect", str(bad)])
         assert rc == cli.EXIT_FORMAT
 
-    @pytest.mark.parametrize("command", ["inspect", "decompress"])
-    def test_one_symbol_short(self, tmp_path, capsys, command):
-        # a valid container whose header declares one symbol fewer than it codes
+    @pytest.mark.parametrize("command,pos,size,delta", [
+        pytest.param(command, pos, size, delta, id=f"{name}{command}")
+        for name, pos, size, delta in [
+            ("", 16, 4, -1),  # symbol count, one short
+            ("padded-width-", 11, 2, 8),
+            ("padded-height-", 13, 2, 8),
+            ("pad-count-", 15, 1, 1),
+        ]
+        for command in ("inspect", "decompress")
+    ])
+    def test_one_symbol_short(self, tmp_path, capsys, command, pos, size, delta):
+        # a valid container with one header field that the original size and g
+        # decide moved off its value
         data = bytearray(codec.compress_bytes(generate_test_image("noise", 16, 16, 8)))
-        count = int.from_bytes(data[16:20], "big")  # symbol count
-        data[16:20] = (count - 1).to_bytes(4, "big")
+        value = int.from_bytes(data[pos : pos + size], "big")
+        data[pos : pos + size] = (value + delta).to_bytes(size, "big")
         packed = tmp_path / "short.hjpg"
         packed.write_bytes(bytes(data))
         outputs = [str(tmp_path / "back.pgm")] if command == "decompress" else []
@@ -314,6 +324,14 @@ class TestBenchCommand:
         empty.mkdir()
         rc = cli.main(["bench", "--corpus", str(empty)])
         assert rc == cli.EXIT_USAGE
+
+    def test_missing_corpus(self, tmp_path, capsys):
+        rc = cli.main(["bench", "--corpus", str(tmp_path / "missing")])
+        assert rc == cli.EXIT_IO
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: io:")
+        assert captured.out == ""
 
     def test_group_size_above_255_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(codec, "compress", None)

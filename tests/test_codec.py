@@ -136,15 +136,17 @@ class TestDecompress:
     @pytest.mark.parametrize("mode,g", [("scalar", 1), ("reduced", 4)])
     def test_coefficient_count_checked_before_decode(self, mode, g, monkeypatch):
         img = generate_test_image("noise", 16, 16, 8)
-        file, _ = codec.compress(img, CodecConfig(entropy_mode=mode, group_size=g))
-        file.symbol_count -= 1  # still within the payload's bit length
+        cfg = CodecConfig(entropy_mode=mode, group_size=g)
+        data = bytearray(codec.compress_bytes(img, cfg))
+        count = int.from_bytes(data[16:20], "big")  # symbol count
+        data[16:20] = (count - 1).to_bytes(4, "big")  # still within the payload's bits
 
         def no_decode(*args, **kwargs):
             raise AssertionError("payload decoded under an inconsistent header")
 
         monkeypatch.setattr(entropy, "decode", no_decode)
         with pytest.raises(container.InvariantError):
-            codec.decompress(file)
+            codec.decompress_bytes(bytes(data))
 
     @pytest.mark.parametrize("mode,g", [("scalar", 1), ("reduced", 4)])
     def test_payload_length_checked_before_decode(self, mode, g, monkeypatch):
@@ -166,9 +168,9 @@ class TestDecompress:
 
     def test_symbol_count_mismatch_detected(self):
         img = generate_test_image("noise", 16, 16, 8)
-        file, _ = codec.compress(img, CodecConfig(entropy_mode="scalar"))
-        file.padded_width = 32  # header now promises more blocks than coded
+        data = bytearray(codec.compress_bytes(img, CodecConfig(entropy_mode="scalar")))
+        data[11:13] = (32).to_bytes(2, "big")  # padded width: more blocks than coded
         with pytest.raises(
             (container.InvariantError, entropy.EntropyError, ValueError)
         ):
-            codec.decompress(file)
+            codec.decompress_bytes(bytes(data))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hjpeg import codec, container, entropy
+from hjpeg import container, entropy
 from hjpeg.container import (
     BadMagicError,
     CompressedFile,
@@ -16,7 +16,6 @@ from hjpeg.container import (
     deserialize,
     serialize,
 )
-from hjpeg.image import generate_test_image
 from hjpeg.quantize import DEFAULT_QUANT_TABLE
 from oracles import book_of, huge_payload
 
@@ -29,18 +28,13 @@ def random_file(rng) -> CompressedFile:
     bh = int(rng.integers(1, 5)) * 8
     # exactly the coefficients of a bw x bh padded image
     stream = symbols[rng.integers(0, n, size=-(-bw * bh // g))].reshape(-1)[: bw * bh]
-    rows, ids, counts, pad_count = entropy.group_symbols(stream, g)
+    rows, ids, counts, _ = entropy.group_symbols(stream, g)
     book, rank = entropy.build_codebook(rows, counts)
     payload, nbits = entropy.encode(rank[ids], book)
     return CompressedFile(
-        group_size=g,
         dc_diff=bool(rng.integers(0, 2)),
         orig_width=bw - int(rng.integers(0, 7)),
         orig_height=bh - int(rng.integers(0, 7)),
-        padded_width=bw,
-        padded_height=bh,
-        pad_count=pad_count,
-        symbol_count=len(ids),
         quant_table=DEFAULT_QUANT_TABLE,
         codebook=book,
         payload=payload,
@@ -76,12 +70,9 @@ class TestRoundTrip:
     def test_flags_byte(self):
         # an 8x8 image: 16 four-coefficient symbols, coded 1 bit each
         f = random_file(np.random.default_rng(10))
-        f.orig_width = f.orig_height = f.padded_width = f.padded_height = 8
-        f.group_size = 4
-        f.pad_count = 0
+        f.orig_width = f.orig_height = 8
         f.codebook = book_of({(0, 0, 0, 0): 1})
         f.dc_diff = True
-        f.symbol_count = 16
         f.payload = b"\x00\x00"
         f.payload_bit_length = 16
         assert serialize(f)[5] == 0x03
@@ -115,12 +106,6 @@ class TestCorruption:
         data[5] ^= container.FLAG_REDUCED
         with pytest.raises(InvariantError):
             deserialize(bytes(data))
-
-    def test_serialize_rejects_bad_padding(self):
-        f = random_file(np.random.default_rng(11))
-        f.padded_width = f.padded_width + 1
-        with pytest.raises(InvariantError):
-            serialize(f)
 
     def test_serialize_rejects_payload_mismatch(self):
         f = random_file(np.random.default_rng(12))
@@ -192,19 +177,12 @@ class TestCorruption:
     def test_group_size_beyond_u8_rejected(self):
         # the header's group-size field is one byte: a named error, not a struct.error
         f = random_file(np.random.default_rng(17))
-        f.group_size = 256
+        f.codebook = book_of({(0,) * 256: 1})
         with pytest.raises(GroupSizeTooLargeError) as info:
             f.validate()
         assert not isinstance(info.value, InvariantError)
         with pytest.raises(GroupSizeTooLargeError):
             serialize(f)
-
-    def test_serialize_rejects_coefficient_count_mismatch(self):
-        file, _ = codec.compress(generate_test_image("noise", 16, 16, 8))
-        serialize(file)
-        file.symbol_count -= 1
-        with pytest.raises(InvariantError, match="coefficients"):
-            serialize(file)
 
     def test_trailing_bytes_rejected(self, sample):
         with pytest.raises(TrailingDataError) as info:

@@ -131,10 +131,11 @@ class TestExpandSymbols:
         assert expand([5, 7], 4) == [5, 7]
 
     def test_bad_pad_count(self):
-        file, _ = codec.compress(generate_test_image("noise", 8, 8, 0), CodecConfig())
-        file.pad_count = file.group_size
+        img = generate_test_image("noise", 8, 8, 0)
+        data = bytearray(codec.compress_bytes(img, CodecConfig()))
+        data[15] = data[6]  # pad count = group size
         with pytest.raises(ValueError):
-            codec.decompress(file)
+            codec.decompress_bytes(bytes(data))
 
     @settings(max_examples=100)
     @given(
