@@ -7,8 +7,6 @@ import re
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import codec, container, entropy, metrics
 from .codec import CodecConfig
 from .image import Image, PgmError, generate_test_image, read_pgm, write_pgm
@@ -80,7 +78,7 @@ def cmd_decompress(args) -> int:
 def cmd_inspect(args) -> int:
     file = container.deserialize(Path(args.input).read_bytes())
     book = file.codebook
-    print(f"mode: {'reduced' if file.group_size > 1 else 'scalar'}")
+    print(f"mode: {metrics.entropy_mode(file.group_size)}")
     print(f"group_size: {file.group_size}")
     print(f"dc_diff: {int(file.dc_diff)}")
     print(f"original: {file.orig_width}x{file.orig_height}")
@@ -89,7 +87,8 @@ def cmd_inspect(args) -> int:
     print(f"symbol_count: {file.symbol_count}")
     print(f"payload_bits: {file.payload_bit_length}")
     print(f"codebook_symbols: {len(book.rows)}")
-    for length, count in zip(*np.unique(book.code_lengths, return_counts=True)):
+    lengths, _, counts = book.length_groups
+    for length, count in zip(lengths, counts):
         print(f"code_length[{length}]: {count}")
     print(f"kraft_sum: {float(book.kraft_sum):g}")
     return EXIT_OK

@@ -82,7 +82,6 @@ def compress(
 
 
 def decompress(file: CompressedFile) -> Image:
-    file.validate()
     ids = entropy.decode(
         file.payload, file.codebook, file.symbol_count, file.payload_bit_length
     )

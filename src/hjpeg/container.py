@@ -1,13 +1,15 @@
 """Compressed-file container: header, quantization table, codebook, payload.
 
 The byte layout and the checks a reader must make are specified in
-docs/format.md.
+docs/format.md. The reader requires the data to begin with the fixed `header`
+that the writer makes of the file it reads, so the writer alone decides it.
 """
 
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -68,10 +70,13 @@ def padded_size(width: int, height: int) -> tuple[int, int]:
     return (width + 7) // 8 * 8, (height + 7) // 8 * 8
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class CompressedFile:
     """What a container holds that nothing else decides. The header's padded sides,
-    pad count and symbol count follow from the original size and the codebook's g."""
+    pad count and symbol count follow from the original size and the codebook's g.
+    The constructor makes the "Reader checks" of docs/format.md that these fields
+    decide, and the file is frozen, so they hold for its life. Only fields that
+    contradict each other raise InvariantError."""
 
     dc_diff: bool
     orig_width: int
@@ -81,36 +86,7 @@ class CompressedFile:
     payload: bytes
     payload_bit_length: int
 
-    @property
-    def group_size(self) -> int:
-        return self.codebook.group_size
-
-    @property
-    def padded_width(self) -> int:
-        return padded_size(self.orig_width, self.orig_height)[0]
-
-    @property
-    def padded_height(self) -> int:
-        return padded_size(self.orig_width, self.orig_height)[1]
-
-    @property
-    def symbol_count(self) -> int:
-        return -(-self.padded_width * self.padded_height // self.group_size)
-
-    @property
-    def pad_count(self) -> int:
-        return self.symbol_count * self.group_size - self.padded_width * self.padded_height
-
-    @property
-    def flags(self) -> int:
-        return (FLAG_REDUCED if self.group_size > 1 else 0) | (
-            FLAG_DC_DIFF if self.dc_diff else 0
-        )
-
-    def validate(self):
-        """The "Reader checks" of docs/format.md that the stored fields decide;
-        `serialize` and `deserialize` both run it. The payload checks use the derived
-        symbol count. Only fields that contradict each other raise InvariantError."""
+    def __post_init__(self):
         if self.orig_width < 1 or self.orig_height < 1:
             raise ContainerError("original dimensions must be at least 1")
         if self.group_size < 1:
@@ -124,35 +100,51 @@ class CompressedFile:
             raise InvariantError("payload byte length disagrees with bit length")
         if symbol_count > self.payload_bit_length:
             raise InvariantError("more symbols than payload bits")
-        if self.payload_bit_length > symbol_count * int(self.codebook.code_lengths.max()):
+        longest = int(self.codebook.code_lengths[-1])  # as the lengths are canonical
+        if self.payload_bit_length > symbol_count * longest:
             raise InvariantError("more payload bits than the symbols' longest codes fill")
         if np.shape(self.quant_table) != (8, 8):
             raise ContainerError("quantization table must be 8x8")
         if np.min(self.quant_table) < 1 or np.max(self.quant_table) > 255:
             raise ContainerError("quantization steps must be in [1, 255]")
 
+    @property
+    def group_size(self) -> int:
+        return self.codebook.group_size
+
+    @cached_property
+    def padded_width(self) -> int:
+        return padded_size(self.orig_width, self.orig_height)[0]
+
+    @cached_property
+    def padded_height(self) -> int:
+        return padded_size(self.orig_width, self.orig_height)[1]
+
+    @cached_property
+    def symbol_count(self) -> int:
+        return -(-self.padded_width * self.padded_height // self.group_size)
+
+    @cached_property
+    def pad_count(self) -> int:
+        return self.symbol_count * self.group_size - self.padded_width * self.padded_height
+
+
+def header(file: CompressedFile) -> bytes:
+    """The fixed header of `file`: what the writer stores and the reader requires."""
+    flags = FLAG_REDUCED * (file.group_size > 1) | FLAG_DC_DIFF * file.dc_diff
+    return _HEADER.pack(MAGIC, VERSION, flags, file.group_size, file.orig_width,
+                        file.orig_height, file.padded_width, file.padded_height,
+                        file.pad_count, file.symbol_count)
+
 
 def serialize(file: CompressedFile) -> bytes:
-    file.validate()
-    out = bytearray(
-        _HEADER.pack(
-            MAGIC,
-            VERSION,
-            file.flags,
-            file.group_size,
-            file.orig_width,
-            file.orig_height,
-            file.padded_width,
-            file.padded_height,
-            file.pad_count,
-            file.symbol_count,
-        )
-    )
-    out += np.asarray(file.quant_table, dtype=np.uint8).tobytes()
-    out += entropy.serialize_codebook(file.codebook)
-    out += struct.pack(">I", file.payload_bit_length)
-    out += file.payload
-    return bytes(out)
+    return b"".join((
+        header(file),
+        np.asarray(file.quant_table, dtype=np.uint8).tobytes(),
+        entropy.serialize_codebook(file.codebook),
+        struct.pack(">I", file.payload_bit_length),
+        file.payload,
+    ))
 
 
 def deserialize(data: bytes) -> CompressedFile:
@@ -162,20 +154,18 @@ def deserialize(data: bytes) -> CompressedFile:
         raise BadMagicError(f"bad magic {data[:4]!r}")
     if len(data) < _HEADER.size:
         raise TruncatedFileError("file shorter than the fixed header")
-    (_, version, flags, group_size, orig_w, orig_h, padded_w, padded_h,
-     pad_count, symbol_count) = _HEADER.unpack_from(data)
+    _, version, flags, group_size, orig_w, orig_h = _HEADER.unpack_from(data)[:6]
     if version != VERSION:
         raise UnsupportedVersionError(f"unsupported version {version}")
     if flags & ~(FLAG_REDUCED | FLAG_DC_DIFF):
         raise ContainerError(f"reserved flag bits set in {flags:#04x}")
-    if bool(flags & FLAG_REDUCED) != (group_size > 1):
-        raise InvariantError("reduced-mode flag disagrees with group size")
     pos = _HEADER.size
     if len(data) < pos + 64:
         raise TruncatedFileError("file ends inside the quantization table")
     quant = np.frombuffer(data[pos : pos + 64], dtype=np.uint8).astype(
         np.int64
     ).reshape(8, 8)
+    quant.flags.writeable = False  # the file's checks must hold for its life
     pos += 64
     try:
         codebook, consumed = entropy.deserialize_codebook(data[pos:], group_size)
@@ -202,9 +192,10 @@ def deserialize(data: bytes) -> CompressedFile:
         payload=data[pos:end],
         payload_bit_length=payload_bit_length,
     )
-    file.validate()
-    derived = (file.padded_width, file.padded_height, file.pad_count, file.symbol_count)
-    if (padded_w, padded_h, pad_count, symbol_count) != derived:
-        raise InvariantError("padded size, pad count and symbol count must be "
-                             f"{derived}, as the original size and g decide them")
+    expected = header(file)
+    if data[: _HEADER.size] != expected:
+        _, _, flags, _, _, _, *derived = _HEADER.unpack(expected)
+        raise InvariantError(
+            f"flags, padded size, pad count and symbol count must be {flags:#04x} and "
+            f"{tuple(derived)}, as the original size, g and DC flag decide them")
     return file

@@ -146,10 +146,17 @@ class CodeBook:
         return np.cumsum(span) - span
 
     @cached_property
+    def length_groups(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(lengths, first ids, counts): each code length in use, ascending, the id
+        of its first code and how many codes have it; ids of one length are
+        contiguous, as the lengths are canonical."""
+        return np.unique(self.code_lengths, return_index=True, return_counts=True)
+
+    @cached_property
     def kraft_sum(self) -> Fraction:
         """Exact sum of 2**-length over the alphabet; 1 for a complete code."""
-        lengths, hist = (a.tolist() for a in np.unique(self.code_lengths, return_counts=True))
-        total = sum(h << (MAX_CODE_LENGTH - l) for l, h in zip(lengths, hist))
+        lengths, _, counts = (a.tolist() for a in self.length_groups)
+        total = sum(c << (MAX_CODE_LENGTH - l) for l, c in zip(lengths, counts))
         return Fraction(total, 1 << MAX_CODE_LENGTH)
 
 
@@ -242,8 +249,7 @@ def decode(data: bytes, book: CodeBook, symbol_count: int, bit_length: int) -> n
         raise BitExhaustionError(f"{symbol_count} symbols cannot fit in {end} bits")
     # one entry per code length, ascending: the length, its first code, and
     # its ids, which run from group_index up to (not including) group_end
-    group_len, group_index, group_count = np.unique(
-        book.code_lengths, return_index=True, return_counts=True)
+    group_len, group_index, group_count = book.length_groups
     group_first = book.codes[group_index]
     shift = (MAX_CODE_LENGTH - group_len).astype(np.uint64)
     group_end = (group_index + group_count).astype(np.uint64)

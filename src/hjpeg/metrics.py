@@ -10,6 +10,11 @@ import numpy as np
 from .image import Image
 
 
+def entropy_mode(group_size: int) -> str:
+    """The mode that group size g codes in: scalar for g = 1, else reduced."""
+    return "reduced" if group_size > 1 else "scalar"
+
+
 def empirical_entropy(counts) -> float:
     """First-order entropy in bits/symbol of a distribution given by its counts."""
     counts = np.asarray(counts).tolist()
@@ -59,7 +64,7 @@ class CompressionReport:
 
     @property
     def mode(self) -> str:
-        return "reduced" if self.group_size > 1 else "scalar"
+        return entropy_mode(self.group_size)
 
     def csv_row(self) -> str:
         imp = "" if self.improvement_pct is None else f"{self.improvement_pct:.4f}"

@@ -8,6 +8,7 @@ Without them the improvement is reported on synthetic images but, as their
 statistics differ from natural images, not asserted.
 """
 
+import dataclasses
 import time
 from functools import wraps
 from pathlib import Path
@@ -214,8 +215,8 @@ def test_criterion_8_container_robustness():
         container.deserialize(bytes(corrupt))
 
     file, _ = codec.compress(img, CodecConfig("scalar", 1))
-    file.payload_bit_length += 8
-    file.payload += b"\x00"
+    file = dataclasses.replace(file, payload=file.payload + b"\x00",
+                               payload_bit_length=file.payload_bit_length + 8)
     with pytest.raises(entropy.DanglingBitsError):
         codec.decompress(file)
 

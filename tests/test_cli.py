@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import os
 import struct
@@ -88,13 +89,14 @@ class TestCompressCommand:
         assert not out.exists()
 
     def test_payload_too_large(self, tmp_path, capsys, monkeypatch):
-        # the payload bit length does not fit the container's u32 field
+        # the payload bit length does not fit the container's u32 field, so the
+        # stub's file cannot be made
         compress = codec.compress
 
         def huge(img, cfg):
             file, counts = compress(img, cfg)
-            file.payload, file.payload_bit_length = huge_payload(1 << 32), 1 << 32
-            return file, counts
+            return dataclasses.replace(file, payload=huge_payload(1 << 32),
+                                       payload_bit_length=1 << 32), counts
 
         monkeypatch.setattr(codec, "compress", huge)
         src = write_image(tmp_path / "in.pgm")
@@ -277,15 +279,20 @@ class TestInspectCommand:
         assert captured.out == ""
 
     @pytest.mark.parametrize("command", ["inspect", "decompress"])
-    @pytest.mark.parametrize("pos,value,error", [
-        (5, b"\x05", "container"), (5, b"\x81", "container"),  # reserved flag bits 2, 7
-        (7, b"\x00\x00", "container"), (9, b"\x00\x00", "container"),
-        (7, b"\xff\xff", "image-too-large"), (9, b"\xff\xff", "image-too-large"),
-    ], ids=["flag-bit-2", "flag-bit-7", "width-0", "height-0", "width-65535", "height-65535"])
-    def test_header_field_bad_on_its_own(self, tmp_path, capsys, command, pos, value, error):
+    @pytest.mark.parametrize("edits,error", [
+        ({5: b"\x05"}, "container"), ({5: b"\x81"}, "container"),  # reserved bits 2, 7
+        ({7: b"\x00\x00"}, "container"), ({9: b"\x00\x00"}, "container"),
+        ({7: b"\xff\xff"}, "image-too-large"), ({9: b"\xff\xff"}, "image-too-large"),
+        # a field bad on its own wins over flags bit 0, whether that agrees or not
+        ({6: b"\x00"}, "codebook"), ({5: b"\x00\x00"}, "codebook"),  # g = 0
+        ({5: b"\x00", 20: b"\x00"}, "container"),  # and a quantization step of 0
+    ], ids=["flag-bit-2", "flag-bit-7", "width-0", "height-0", "width-65535", "height-65535",
+            "g-0-flag-bit-0-set", "g-0-flag-bit-0-clear", "flag-bit-0-and-step-0"])
+    def test_header_field_bad_on_its_own(self, tmp_path, capsys, command, edits, error):
         data = bytearray(codec.compress_bytes(generate_test_image("noise", 16, 16, 8)))
         assert data[5] == container.FLAG_REDUCED
-        data[pos : pos + len(value)] = value
+        for pos, value in edits.items():
+            data[pos : pos + len(value)] = value
         packed = tmp_path / "bad.hjpg"
         packed.write_bytes(bytes(data))
         outputs = [str(tmp_path / "back.pgm")] if command == "decompress" else []

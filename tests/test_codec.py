@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -153,18 +155,19 @@ class TestDecompress:
         img = generate_test_image("noise", 16, 16, 8)
         file, _ = codec.compress(img, CodecConfig(entropy_mode=mode, group_size=g))
         fill = file.symbol_count * int(file.codebook.code_lengths.max())
-        file.payload_bit_length = fill  # as many bits as the longest codes fill
-        file.payload = file.payload.ljust((fill + 7) // 8, b"\0")
-        file.validate()
+
+        def with_bits(bits):
+            payload = file.payload.ljust((bits + 7) // 8, b"\0")
+            return dataclasses.replace(file, payload=payload, payload_bit_length=bits)
+
+        with_bits(fill)  # as many bits as the longest codes fill
 
         def no_decode(*args, **kwargs):
             raise AssertionError("payload decoded under an inconsistent header")
 
         monkeypatch.setattr(entropy, "decode", no_decode)
-        file.payload_bit_length = fill + 1
-        file.payload = file.payload.ljust((fill + 8) // 8, b"\0")
         with pytest.raises(container.InvariantError, match="longest codes"):
-            codec.decompress(file)
+            codec.decompress(with_bits(fill + 1))  # the file is refused as it is made
 
     def test_symbol_count_mismatch_detected(self):
         img = generate_test_image("noise", 16, 16, 8)

@@ -1,3 +1,5 @@
+from dataclasses import FrozenInstanceError, replace
+
 import numpy as np
 import pytest
 
@@ -69,12 +71,9 @@ class TestRoundTrip:
 
     def test_flags_byte(self):
         # an 8x8 image: 16 four-coefficient symbols, coded 1 bit each
-        f = random_file(np.random.default_rng(10))
-        f.orig_width = f.orig_height = 8
-        f.codebook = book_of({(0, 0, 0, 0): 1})
-        f.dc_diff = True
-        f.payload = b"\x00\x00"
-        f.payload_bit_length = 16
+        f = replace(random_file(np.random.default_rng(10)), orig_width=8, orig_height=8,
+                    codebook=book_of({(0, 0, 0, 0): 1}), dc_diff=True,
+                    payload=b"\x00\x00", payload_bit_length=16)
         assert serialize(f)[5] == 0x03
 
 
@@ -108,10 +107,10 @@ class TestCorruption:
             deserialize(bytes(data))
 
     def test_serialize_rejects_payload_mismatch(self):
+        # refused where the file is made, so no such file reaches serialize
         f = random_file(np.random.default_rng(12))
-        f.payload_bit_length = len(f.payload) * 8 + 9
         with pytest.raises(InvariantError):
-            serialize(f)
+            replace(f, payload_bit_length=len(f.payload) * 8 + 9)
 
     def test_zero_quant_step_is_malformed(self, sample):
         data = bytearray(sample)
@@ -134,20 +133,19 @@ class TestCorruption:
     ], ids=["4x4", "step-256"])
     def test_serialize_rejects_bad_quant_table(self, table, message):
         f = random_file(np.random.default_rng(18))
-        f.quant_table = table
         with pytest.raises(ContainerError, match=message) as info:
-            serialize(f)
+            replace(f, quant_table=table)
         assert not isinstance(info.value, InvariantError)
 
     @pytest.mark.parametrize("side,error", [(0, ContainerError), (65535, ImageTooLargeError)])
     def test_bad_original_side_is_malformed(self, sample, side, error):
-        # refused as a field bad on its own, by the reader and the writer alike
+        # refused as a field bad on its own, by the reader and by making a file alike
         f = random_file(np.random.default_rng(19))
-        f.orig_height = side
         for pos in (7, 9):  # original width, then height
             data = bytearray(sample)
             data[pos : pos + 2] = side.to_bytes(2, "big")
-            for refuse in (lambda: deserialize(bytes(data)), lambda: serialize(f)):
+            for refuse in (lambda: deserialize(bytes(data)),
+                           lambda: replace(f, orig_height=side)):
                 with pytest.raises(error) as info:
                     refuse()
                 assert not isinstance(info.value, InvariantError)
@@ -168,21 +166,23 @@ class TestCorruption:
     def test_payload_bit_length_beyond_u32_rejected(self):
         # a stub whose length matches 2**32 bits, so only the field width is wrong
         f = random_file(np.random.default_rng(13))
-        f.payload = huge_payload(1 << 32)
-        f.payload_bit_length = 1 << 32
         with pytest.raises(PayloadTooLargeError) as info:
-            serialize(f)
+            replace(f, payload=huge_payload(1 << 32), payload_bit_length=1 << 32)
         assert not isinstance(info.value, InvariantError)
 
     def test_group_size_beyond_u8_rejected(self):
         # the header's group-size field is one byte: a named error, not a struct.error
         f = random_file(np.random.default_rng(17))
-        f.codebook = book_of({(0,) * 256: 1})
         with pytest.raises(GroupSizeTooLargeError) as info:
-            f.validate()
+            replace(f, codebook=book_of({(0,) * 256: 1}))
         assert not isinstance(info.value, InvariantError)
-        with pytest.raises(GroupSizeTooLargeError):
-            serialize(f)
+
+    def test_file_is_frozen(self, sample):
+        # a file's checks, made as it is made, hold for its life
+        f = deserialize(sample)
+        with pytest.raises(FrozenInstanceError):
+            f.payload_bit_length += 8
+        assert not f.quant_table.flags.writeable
 
     def test_trailing_bytes_rejected(self, sample):
         with pytest.raises(TrailingDataError) as info:
