@@ -4,8 +4,9 @@ Every mode codes the stream the same way: the flat coefficients are padded
 with zeros to a multiple of g and cut into rows of g parts, each distinct row
 being one symbol (g = 1 is the scalar mode). One np.lexsort of the rows'
 biased uint16 parts gives, for any g, the sorted alphabet, each row's index
-into it and the per-symbol counts; the Huffman code is built over the counts,
-and the payload concatenates the codes of the rows.
+into it and the per-symbol counts. The Huffman code is built over the counts
+by two sorted queues, the leaves sorted once and the merged nodes in the order
+made, with ties to the smallest index; the payload concatenates the codes.
 
 build_codebook permutes the sorted alphabet once into canonical order, the
 order of JPEG's HUFFVAL (ITU-T T.81, C and B.2.4.2): by code length, then by
@@ -19,7 +20,7 @@ tables both where that code ends and which code it is, then walks the table
 
 from __future__ import annotations
 
-import heapq
+import math
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -161,26 +162,35 @@ class CodeBook:
 
 
 def huffman_code_lengths(counts) -> list[int]:
-    """Per-index code lengths from the two-least-frequent merge.
-
-    Ties between equal counts go to the node holding the smallest index, so
-    the result is deterministic. A single-symbol alphabet gets length 1.
-    """
+    """Per-index code lengths from the two-least-frequent merge, by van Leeuwen's
+    two sorted queues (ICALP 1976): leaves sorted once, merged nodes as made.
+    Ties between equal counts go to the node holding the smallest index, so the
+    result is deterministic. A single-symbol alphabet gets length 1."""
+    counts = np.asarray(counts).tolist()  # Python ints, so no key can wrap
     n = len(counts)
     if not n:
         raise EntropyError("empty frequency table")
     if n == 1:
         return [1]
-    # heap entries: (count, smallest leaf index below the node, node); leaves
-    # are nodes 0..n-1 and each merge appends one node
-    heap = [(count, i, i) for i, count in enumerate(counts)]
-    heapq.heapify(heap)
+    # key = count * n + the smallest leaf index below the node: one compare gives
+    # the (count, index) order. Pops ascend, so merged counts never fall; if two
+    # are equal, so are the four counts popped, and the later pair has the larger
+    # least index. Merged keys ascend, so a pop compares only heads (inf: unmade).
+    leaves = sorted([c * n + i for i, c in enumerate(counts)]) + [math.inf]
+    merged = [math.inf] * (n - 1)  # merge k makes node n + k
     parent = [0] * (2 * n - 1)
-    for node in range(n, 2 * n - 1):
-        c1, k1, a = heapq.heappop(heap)
-        c2, k2, b = heapq.heappop(heap)
-        parent[a] = parent[b] = node
-        heapq.heappush(heap, (c1 + c2, min(k1, k2), node))
+    i = j = 0
+    for k in range(n - 1):
+        if leaves[i] < merged[j]:
+            x, a, i = leaves[i], leaves[i] % n, i + 1  # leaf a is node a
+        else:
+            x, a, j = merged[j], n + j, j + 1
+        if leaves[i] < merged[j]:
+            y, b, i = leaves[i], leaves[i] % n, i + 1
+        else:
+            y, b, j = merged[j], n + j, j + 1
+        parent[a] = parent[b] = n + k
+        merged[k] = x + y - max(x % n, y % n)  # counts add, the smaller index stays
     depth = [0] * (2 * n - 1)
     for v in range(2 * n - 3, -1, -1):  # every parent is numbered after its children
         depth[v] = depth[parent[v]] + 1
@@ -191,7 +201,7 @@ def build_codebook(rows: np.ndarray, counts) -> tuple[CodeBook, np.ndarray]:
     """(book, rank): the Huffman code over the ascending alphabet rows, with
     counts[k] occurrences of rows[k], as a book in canonical order; rank[k] is
     the book's id of rows[k]."""
-    lengths = np.array(huffman_code_lengths(np.asarray(counts).tolist()), np.int64)
+    lengths = np.array(huffman_code_lengths(counts), np.int64)
     order = np.argsort(lengths, kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))

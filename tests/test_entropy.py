@@ -40,6 +40,19 @@ def expand(seq, g):
     return book.rows[rank[ids]].reshape(-1)[: len(ids) * g - pad].tolist()
 
 
+def fibonacci(n):
+    counts = [1, 1]
+    while len(counts) < n:
+        counts.append(counts[-1] + counts[-2])
+    return counts[:n]
+
+
+def lengths_reference(counts):
+    """The heap oracle's lengths in index order, its symbols being the indices."""
+    lengths = huffman_lengths_reference(dict(enumerate(counts)))
+    return [lengths[i] for i in range(len(counts))]
+
+
 # parts at and around the int16 extremes and zero, where a biased key wraps
 # or changes its top bit if it is built wrong
 edge_parts = st.one_of(st.sampled_from([-32768, -1, 0, 1, 32767]),
@@ -257,6 +270,37 @@ class TestBuildCodebook:
         assert book.kraft_sum == 1 - Fraction(1, 2**64)
 
 
+class TestHuffmanCodeLengths:
+    """The two-queue build against the heap oracle, tie-break included."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(n=st.integers(1, 3000), max_count=st.sampled_from([1, 2, 3, 8, 10**6]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_reference(self, n, max_count, seed):
+        # hypothesis draws only the shape; a seeded generator fills long lists fast
+        rng = np.random.default_rng(seed)
+        counts = rng.integers(1, max_count, size=n, endpoint=True).tolist()
+        assert entropy.huffman_code_lengths(counts) == lengths_reference(counts)
+
+    @pytest.mark.parametrize("counts", [
+        [5],
+        [3, 9],
+        [4] * 1024,
+        [4] * 1000,
+        np.random.default_rng(1).permutation(np.arange(1, 2001)).tolist(),
+        fibonacci(60),
+        [2**64 + c for c in np.random.default_rng(2).integers(0, 4, size=300).tolist()],
+    ], ids=["n1", "n2", "equal-1024", "equal-1000", "distinct", "fibonacci-60",
+            "above-2**64"])
+    def test_fixed_vectors(self, counts):
+        assert entropy.huffman_code_lengths(counts) == lengths_reference(counts)
+
+    def test_int64_counts_past_2_63_as_keys(self):
+        # count * n passes 2**63, where an int64 key would wrap
+        counts = 2**62 - np.arange(100, dtype=np.int64) % 3
+        assert entropy.huffman_code_lengths(counts) == lengths_reference(counts.tolist())
+
+
 def pack(bits):
     """A '0'/'1' string as MSB-first bytes, zero-padded to a whole byte."""
     pad = -len(bits) % 8
@@ -265,10 +309,7 @@ def pack(bits):
 
 def fibonacci_book(n):
     """Huffman book over n Fibonacci counts: a chain n - 1 bits deep."""
-    counts = [1, 1]
-    while len(counts) < n:
-        counts.append(counts[-1] + counts[-2])
-    return entropy.build_codebook(np.arange(n).reshape(-1, 1), counts[:n])[0]
+    return entropy.build_codebook(np.arange(n).reshape(-1, 1), fibonacci(n))[0]
 
 
 def incomplete(book):
