@@ -170,11 +170,8 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
-    except ParityError as exc:
-        print(f"error: parity: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except container.InvariantError as exc:
-        print(f"error: invariant: {exc}", file=sys.stderr)
+    except (ParityError, container.InvariantError) as exc:
+        print(f"error: {_error_class(exc)}: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (PgmError, container.ContainerError, entropy.EntropyError) as exc:
         print(f"error: {_error_class(exc)}: {exc}", file=sys.stderr)

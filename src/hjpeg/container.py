@@ -89,8 +89,6 @@ class CompressedFile:
     def __post_init__(self):
         if self.orig_width < 1 or self.orig_height < 1:
             raise ContainerError("original dimensions must be at least 1")
-        if self.group_size < 1:
-            raise InvariantError("group size must be >= 1")
         if self.group_size > 0xFF:
             raise GroupSizeTooLargeError("group size does not fit a u8 field")
         symbol_count = self.symbol_count  # refuses a side above MAX_DIMENSION

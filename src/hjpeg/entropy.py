@@ -110,21 +110,24 @@ class CodeBook:
     """Canonical prefix code as two arrays in canonical order: rows is the (n, g)
     int64 alphabet by code length, then by symbol, and code_lengths[k] is the
     length of rows[k]. Id k, the row index, gets the k-th canonical code. The
-    constructor refuses lengths outside 1..64 or decreasing, a Kraft sum above 1
-    and parts outside the signed 16-bit range, so a book needs no later check."""
+    constructor refuses an empty book, n lengths for other than n rows, lengths
+    outside 1..64 or decreasing, a Kraft sum above 1 and parts outside the signed
+    16-bit range, so a book needs no later check."""
 
     rows: np.ndarray
     code_lengths: np.ndarray = field(repr=False)
 
     def __post_init__(self):
-        lengths = self.code_lengths
-        if lengths.size and (lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH):
+        rows, lengths = self.rows, self.code_lengths
+        if rows.ndim != 2 or not rows.size or lengths.shape != rows.shape[:1]:
+            raise CodebookError("codebook needs (n, g) rows and n lengths, n and g >= 1")
+        if lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH:
             raise InvalidCodeLengthError("code length out of range")
         if (np.diff(lengths) < 0).any():
             raise CodebookError("code lengths not in canonical order")
         if self.kraft_sum > 1:
             raise KraftViolationError(f"Kraft sum {self.kraft_sum} > 1")
-        _check_int16(self.rows)
+        _check_int16(rows)
 
     @property
     def group_size(self) -> int:
@@ -341,8 +344,6 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
     if len(data) < 4:
         raise TruncatedCodebookError("codebook shorter than its count field")
     (n,) = struct.unpack_from(">I", data)
-    if n == 0:
-        raise CodebookError("codebook declares zero symbols")
     entry = _entry_dtype(group_size)
     end = 4 + n * entry.itemsize
     if len(data) < end:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
 
 BLOCK_SIZE = 8
+_HEADER_ITEM = re.compile(rb"#[^\r\n]*|(\S+)")  # a comment to its line end, or a field
 
 
 class PgmError(ValueError):
@@ -67,45 +69,32 @@ def _decimal(token: bytes, what: str) -> int:
     return int(digits)
 
 
-def _tokenize_header(data: bytes, count: int) -> tuple[list[int], int]:
-    """Read `count` whitespace-separated integer tokens, skipping # comments.
-
-    Returns the tokens and the offset just past the single whitespace byte
-    that terminates the last one.
-    """
-    tokens: list[int] = []
-    i = 0
-    n = len(data)
-    while len(tokens) < count:
-        while i < n and data[i : i + 1].isspace():
-            i += 1
-        if i < n and data[i] == ord("#"):
-            while i < n and data[i] not in (0x0A, 0x0D):
-                i += 1
-            continue
-        start = i
-        while i < n and not data[i : i + 1].isspace():
-            i += 1
-        if i == start:
-            raise PgmTruncatedError("header ended before all fields were read")
-        tokens.append(_decimal(data[start:i], "header field"))
-        i += 1  # consume the single whitespace terminator
-    return tokens, i
-
-
 def read_pgm(data: bytes) -> Image:
-    """Parse a binary (P5) or ASCII (P2) PGM with maxval <= 255."""
+    """Parse a binary (P5) or ASCII (P2) PGM with maxval <= 255.
+
+    After the magic come width, height and maxval: runs of non-whitespace bytes
+    between whitespace and comments. A comment runs from "#" to the end of its line
+    and starts only where a field could start; a "#" inside a field is part of it,
+    so the digit check refuses it. Exactly one whitespace byte follows maxval.
+    """
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise PgmMagicError(f"bad PGM magic {magic!r}")
-    fields, offset = _tokenize_header(data[2:], 3)
+    fields = []
+    for match in _HEADER_ITEM.finditer(data, 2):
+        if match[1]:  # a field; a comment is skipped without being copied
+            fields.append(_decimal(match[1], "header field"))
+            if len(fields) == 3:
+                break
+    else:
+        raise PgmTruncatedError("header ended before all fields were read")
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise PgmError(f"invalid dimensions {width}x{height}")
     if not 1 <= maxval <= 255:
         raise PgmMaxvalError(f"maxval {maxval} not in [1, 255]")
     count = width * height
-    body = data[2 + offset :]
+    body = data[match.end() + 1 :]
     if magic == b"P5":
         if len(body) < count:
             raise PgmTruncatedError(

@@ -16,6 +16,14 @@ from hjpeg.entropy import (
     EntropyError,
     UnknownSymbolError,
 )
+from hjpeg.image import (
+    Image,
+    PgmError,
+    PgmMagicError,
+    PgmMaxvalError,
+    PgmTruncatedError,
+    _decimal,
+)
 
 
 def round_half_away(x: float) -> int:
@@ -232,3 +240,61 @@ def decode_reference(data: bytes, book: CodeBook, symbol_count: int,
             f"decoded {pos} bits but payload declares {bit_length}"
         )
     return np.array(out, dtype=np.intp)
+
+
+def _tokenize_header(data: bytes, count: int) -> tuple[list[int], int]:
+    """Read `count` whitespace-separated integer tokens, skipping # comments.
+
+    Returns the tokens and the offset just past the single whitespace byte
+    that terminates the last one.
+    """
+    tokens: list[int] = []
+    i = 0
+    n = len(data)
+    while len(tokens) < count:
+        while i < n and data[i : i + 1].isspace():
+            i += 1
+        if i < n and data[i] == ord("#"):
+            while i < n and data[i] not in (0x0A, 0x0D):
+                i += 1
+            continue
+        start = i
+        while i < n and not data[i : i + 1].isspace():
+            i += 1
+        if i == start:
+            raise PgmTruncatedError("header ended before all fields were read")
+        tokens.append(_decimal(data[start:i], "header field"))
+        i += 1  # consume the single whitespace terminator
+    return tokens, i
+
+
+def read_pgm_reference(data: bytes) -> Image:
+    """image.read_pgm as a byte-at-a-time header scanner: the same Image, or the
+    same exception class and message."""
+    magic = data[:2]
+    if magic not in (b"P2", b"P5"):
+        raise PgmMagicError(f"bad PGM magic {magic!r}")
+    fields, offset = _tokenize_header(data[2:], 3)
+    width, height, maxval = fields
+    if width < 1 or height < 1:
+        raise PgmError(f"invalid dimensions {width}x{height}")
+    if not 1 <= maxval <= 255:
+        raise PgmMaxvalError(f"maxval {maxval} not in [1, 255]")
+    count = width * height
+    body = data[2 + offset :]
+    if magic == b"P5":
+        if len(body) < count:
+            raise PgmTruncatedError(
+                f"expected {count} samples, found {len(body)}"
+            )
+        samples = np.frombuffer(body[:count], dtype=np.uint8)
+    else:
+        values = body.split()
+        if len(values) < count:
+            raise PgmTruncatedError(
+                f"expected {count} samples, found {len(values)}"
+            )
+        samples = np.array([_decimal(v, "sample") for v in values[:count]], np.int64)
+    if samples.max() > maxval:
+        raise PgmError(f"sample value above maxval {maxval}")
+    return Image(samples.reshape(height, width))

@@ -522,6 +522,19 @@ class TestEncodeDecode:
             else:
                 entropy.CodeBook(np.arange(len(lengths)).reshape(-1, 1), np.array(lengths))
 
+    @pytest.mark.parametrize("rows, lengths", [
+        pytest.param(np.zeros((0, 1), np.int64), np.zeros(0, np.int64), id="empty"),
+        pytest.param(np.arange(3).reshape(-1, 1), np.array([1, 1]), id="length-mismatch"),
+        pytest.param(np.zeros((2, 0), np.int64), np.array([1, 1]), id="zero-parts"),
+        pytest.param(np.arange(2), np.array([1, 1]), id="one-dimensional-rows"),
+    ])
+    def test_malformed_book_shape_refused(self, rows, lengths):
+        # refused as the book is made, not later as an IndexError in encode or
+        # in a CompressedFile's checks
+        with pytest.raises(entropy.CodebookError) as excinfo:
+            entropy.CodeBook(rows, lengths)
+        assert excinfo.type is entropy.CodebookError
+
 
 class TestCodebookSerialization:
     def test_two_composite_size(self):
@@ -596,6 +609,12 @@ class TestCodebookSerialization:
         )
         with pytest.raises(entropy.CodebookError) as excinfo:
             entropy.deserialize_codebook(data, g)
+        assert excinfo.type is entropy.CodebookError
+
+    @pytest.mark.parametrize("g", [1, 3])
+    def test_zero_symbols_refused(self, g):
+        with pytest.raises(entropy.CodebookError) as excinfo:
+            entropy.deserialize_codebook(struct.pack(">I", 0), g)
         assert excinfo.type is entropy.CodebookError
 
     def test_group_size_below_one_refused(self):

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hjpeg.image import (
@@ -14,6 +14,19 @@ from hjpeg.image import (
     read_pgm,
     write_pgm,
 )
+from oracles import read_pgm_reference
+
+
+def _gap(min_size):
+    """Whitespace and comment pieces between PGM header fields."""
+    pieces = [b" ", b"\t", b"\n", b"\r", b"\x0b", b"\x0c", b"#", b"# c\n"]
+    return st.lists(st.sampled_from(pieces), min_size=min_size, max_size=3).map(b"".join)
+
+
+def _field(*valid):
+    """A valid header field, or one that a digit check must refuse."""
+    junk = [b"0", b"+1", b"-1", b"1_0", "\u0662".encode(), b"2#x", b"\x00", b"\xff", b""]
+    return st.one_of(st.sampled_from(valid), st.sampled_from(junk))
 
 
 def make_image(width, height, values):
@@ -71,6 +84,7 @@ class TestReadPgm:
         pytest.param(b"P5 +2 1 255 " + bytes(2), id="signed-width"),
         pytest.param(b"P5 1_0 1 255 " + bytes(10), id="underscore-width"),
         pytest.param("P5 \u0662 1 255 ".encode() + bytes(2), id="non-ascii-digit"),
+        pytest.param(b"P5 2#x 1 255 " + bytes(2), id="hash-inside-field"),
         pytest.param(b"P5 2 1 100 \xc8\xc8", id="p5-sample-above-maxval"),
         pytest.param(b"P2 2 1 100 1 101", id="p2-sample-above-maxval"),
     ])
@@ -81,6 +95,37 @@ class TestReadPgm:
     def test_leading_zeros_accepted(self):
         img = read_pgm(b"P2 02 1 0255 " + b"0" * 5000 + b"7 000")
         assert img == make_image(2, 1, [7, 0])
+
+    def test_no_whitespace_needed_after_magic(self):
+        assert read_pgm(b"P52 1 255\n" + bytes([7, 8])) == make_image(2, 1, [7, 8])
+
+    @pytest.mark.parametrize("data, message", [
+        pytest.param(b"P5 2 1 # no line end", "header ended", id="comment-to-end-of-data"),
+        pytest.param(b"P5 1 1 255", "found 0", id="no-byte-after-maxval"),
+    ])
+    def test_header_cut_short(self, data, message):
+        with pytest.raises(PgmTruncatedError, match=message):
+            read_pgm(data)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        magic=st.sampled_from([b"P5", b"P2", b"P6", b""]),
+        header=st.tuples(_gap(0), _field(b"1", b"2"), _gap(1), _field(b"1", b"02"),
+                         _gap(1), _field(b"255"), _gap(1)).map(b"".join),
+        tail=st.binary(max_size=8),
+    )
+    @example(magic=b"P5", header=b"# c\n2\x0b1\r255\x0c", tail=bytes([7, 8]))
+    @example(magic=b"P2", header=b"\t2 1\n# c\n255\r", tail=b"\n7 8")
+    @example(magic=b"P5", header=b"2\t1 255 ", tail=b"\x00\xff")
+    @example(magic=b"P5", header=b" 1 1 255\n", tail=b"\n")
+    def test_same_outcome_as_byte_scanner(self, magic, header, tail):
+        def outcome(read):
+            try:
+                return read(magic + header + tail)
+            except Exception as exc:
+                return type(exc), str(exc)
+
+        assert outcome(read_pgm) == outcome(read_pgm_reference)
 
 
 class TestWritePgm:
