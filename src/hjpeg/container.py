@@ -105,6 +105,8 @@ class CompressedFile:
             raise ContainerError("quantization table must be 8x8")
         if np.min(self.quant_table) < 1 or np.max(self.quant_table) > 255:
             raise ContainerError("quantization steps must be in [1, 255]")
+        if np.mod(self.quant_table, 1).any():  # refuse what a uint8 cast would change
+            raise ContainerError("quantization steps must be integers")
 
     @property
     def group_size(self) -> int:

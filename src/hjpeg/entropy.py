@@ -12,10 +12,13 @@ build_codebook permutes the sorted alphabet once into canonical order, the
 order of JPEG's HUFFVAL (ITU-T T.81, C and B.2.4.2): by code length, then by
 symbol. A CodeBook holds the rows and their code lengths in that order, so an
 id is its code's index; CodeBook.codes derives the 64-bit left-justified codes
-from the lengths. The encoder ORs the shifted codes into 64-bit words. The
-decoder matches the code at every bit position of the payload once, which
-tables both where that code ends and which code it is, then walks the table
-16 symbols per step with a table composed from it by pointer jumping.
+from the lengths. Every codebook rule lives in the CodeBook constructor, which
+refuses anything but a complete canonical code over distinct int16 rows, so
+serialize_codebook can write only books that deserialize_codebook accepts.
+The encoder ORs the shifted codes into 64-bit words. The decoder matches the
+code at every bit position of the payload once, which tables both where that
+code ends and which code it is, then walks the table 16 symbols per step with
+a table composed from it by pointer jumping.
 """
 
 from __future__ import annotations
@@ -65,18 +68,14 @@ class TruncatedCodebookError(CodebookError):
     """Serialized codebook ends before the declared symbol count."""
 
 
-def _check_int16(rows: np.ndarray) -> np.ndarray:
-    """rows unchanged, refusing any part that a 16-bit field would wrap."""
-    if rows.size and (rows.min() < -_BIAS or rows.max() >= _BIAS):
-        raise EntropyError("symbol part outside the signed 16-bit range")
-    return rows
-
-
 def _sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(order, differs): the stable order sorting the (n, g) rows ascending, from one
     np.lexsort of their parts as uint16 biased mod 2**16 (a radix pass per part), and
-    whether each sorted row differs from the next."""
-    keys = _check_int16(rows).T.astype(np.uint16, order="C") + np.uint16(_BIAS)
+    whether each sorted row differs from the next. Refuses any part that a 16-bit
+    field would wrap."""
+    if rows.size and (rows.min() < -_BIAS or rows.max() >= _BIAS):
+        raise EntropyError("symbol part outside the signed 16-bit range")
+    keys = rows.T.astype(np.uint16, order="C") + np.uint16(_BIAS)
     order = np.lexsort(keys[::-1])
     keys = np.take(keys, order, axis=1)
     return order, (keys[:, 1:] != keys[:, :-1]).any(axis=0)
@@ -107,12 +106,12 @@ def group_symbols(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
 
 @dataclass(frozen=True, eq=False)
 class CodeBook:
-    """Canonical prefix code as two arrays in canonical order: rows is the (n, g)
-    int64 alphabet by code length, then by symbol, and code_lengths[k] is the
-    length of rows[k]. Id k, the row index, gets the k-th canonical code. The
-    constructor refuses an empty book, n lengths for other than n rows, lengths
-    outside 1..64 or decreasing, a Kraft sum above 1 and parts outside the signed
-    16-bit range, so a book needs no later check."""
+    """Complete canonical prefix code as two arrays in canonical order: rows is the
+    (n, g) int64 alphabet by code length, then by symbol, and code_lengths[k] is
+    the length of rows[k]. Id k, the row index, gets the k-th canonical code. The
+    constructor is the one home of the codebook rules: it refuses anything but a
+    complete canonical code over n >= 1 distinct int16 rows, so a book is exactly
+    one that deserialize_codebook accepts and needs no later check."""
 
     rows: np.ndarray
     code_lengths: np.ndarray = field(repr=False)
@@ -123,11 +122,21 @@ class CodeBook:
             raise CodebookError("codebook needs (n, g) rows and n lengths, n and g >= 1")
         if lengths.min() < 1 or lengths.max() > MAX_CODE_LENGTH:
             raise InvalidCodeLengthError("code length out of range")
-        if (np.diff(lengths) < 0).any():
+        if (lengths[1:] < lengths[:-1]).any():
             raise CodebookError("code lengths not in canonical order")
         if self.kraft_sum > 1:
             raise KraftViolationError(f"Kraft sum {self.kraft_sum} > 1")
-        _check_int16(rows)
+        by_symbol, differs = _sort_rows(rows)
+        if not differs.all():
+            raise CodebookError("duplicate symbol in codebook")
+        place = np.empty(len(rows), np.intp)  # each row's place in symbol order
+        place[by_symbol] = np.arange(len(rows))
+        if ((lengths[1:] == lengths[:-1]) & (place[1:] < place[:-1])).any():
+            raise CodebookError("codebook entries not in canonical order")
+        if len(rows) >= 2 and self.kraft_sum != 1:
+            raise KraftViolationError(f"Kraft sum {self.kraft_sum} != 1")
+        if len(rows) == 1 and lengths[0] != 1:
+            raise KraftViolationError("single-symbol alphabet must use length 1")
 
     @property
     def group_size(self) -> int:
@@ -334,10 +343,9 @@ def serialize_codebook(book: CodeBook) -> bytes:
 def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
     """Inverse of serialize_codebook; returns (book, bytes consumed).
 
-    The entries become the book's rows as they are, so the codes assigned
-    from the stored lengths are the encoder's. CodeBook checks what any book must
-    hold; here the sort of group_symbols checks that the symbols are distinct and
-    ascend within each length, and the Kraft sum must be exactly 1.
+    Only parses: the entries become the book's rows and lengths as they are, so
+    the codes assigned from the stored lengths are the encoder's, and the CodeBook
+    constructor makes every check of the entries.
     """
     if group_size < 1:
         raise CodebookError(f"group size must be >= 1, got {group_size}")
@@ -351,16 +359,5 @@ def deserialize_codebook(data: bytes, group_size: int) -> tuple[CodeBook, int]:
         raise TruncatedCodebookError(
             f"codebook declares {n} symbols but only {fit} fit")
     entries = np.frombuffer(data, entry, count=n, offset=4)
-    book = CodeBook(entries["parts"].astype(np.int64), entries["length"].astype(np.int64))
-    by_symbol, differs = _sort_rows(book.rows)
-    if not differs.all():
-        raise CodebookError("duplicate symbol in codebook")
-    place = np.empty(n, np.intp)  # each entry's place in symbol order
-    place[by_symbol] = np.arange(n)
-    if ((np.diff(book.code_lengths) == 0) & (np.diff(place) < 0)).any():
-        raise CodebookError("codebook entries not in canonical order")
-    if n >= 2 and book.kraft_sum != 1:
-        raise KraftViolationError(f"Kraft sum {book.kraft_sum} != 1")
-    if n == 1 and book.code_lengths[0] != 1:
-        raise KraftViolationError("single-symbol alphabet must use length 1")
-    return book, end
+    return CodeBook(entries["parts"].astype(np.int64),
+                    entries["length"].astype(np.int64)), end

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -12,8 +13,12 @@ import numpy as np
 from hjpeg.entropy import (
     BitExhaustionError,
     CodeBook,
+    CodebookError,
     DanglingBitsError,
     EntropyError,
+    InvalidCodeLengthError,
+    KraftViolationError,
+    TruncatedCodebookError,
     UnknownSymbolError,
 )
 from hjpeg.image import (
@@ -240,6 +245,46 @@ def decode_reference(data: bytes, book: CodeBook, symbol_count: int,
             f"decoded {pos} bits but payload declares {bit_length}"
         )
     return np.array(out, dtype=np.intp)
+
+
+def deserialize_codebook_reference(data: bytes, g: int) -> tuple[list, list, int]:
+    """entropy.deserialize_codebook entry by entry with struct: (rows as lists of
+    g ints, lengths, bytes consumed), or the same exception class and message,
+    the checks made in the same order."""
+    if g < 1:
+        raise CodebookError(f"group size must be >= 1, got {g}")
+    if len(data) < 4:
+        raise TruncatedCodebookError("codebook shorter than its count field")
+    (n,) = struct.unpack_from(">I", data)
+    size = 2 * g + 1
+    end = 4 + n * size
+    if len(data) < end:
+        fit = (len(data) - 4) // size
+        raise TruncatedCodebookError(f"codebook declares {n} symbols but only {fit} fit")
+    entries = [struct.unpack_from(f">{g}hB", data, 4 + k * size) for k in range(n)]
+    rows = [list(entry[:g]) for entry in entries]
+    lengths = [entry[g] for entry in entries]
+    if n == 0:
+        raise CodebookError("codebook needs (n, g) rows and n lengths, n and g >= 1")
+    if not all(1 <= length <= 64 for length in lengths):
+        raise InvalidCodeLengthError("code length out of range")
+    if any(a > b for a, b in zip(lengths, lengths[1:])):
+        raise CodebookError("code lengths not in canonical order")
+    kraft = sum(Fraction(1, 2**length) for length in lengths)
+    if kraft > 1:
+        raise KraftViolationError(f"Kraft sum {kraft} > 1")
+    # the constructor's check of the signed 16-bit range comes here, but no
+    # ">h" part fails it
+    if len(set(map(tuple, rows))) < n:
+        raise CodebookError("duplicate symbol in codebook")
+    for k in range(n - 1):
+        if lengths[k] == lengths[k + 1] and rows[k] > rows[k + 1]:
+            raise CodebookError("codebook entries not in canonical order")
+    if n >= 2 and kraft != 1:
+        raise KraftViolationError(f"Kraft sum {kraft} != 1")
+    if n == 1 and lengths[0] != 1:
+        raise KraftViolationError("single-symbol alphabet must use length 1")
+    return rows, lengths, end
 
 
 def _tokenize_header(data: bytes, count: int) -> tuple[list[int], int]:

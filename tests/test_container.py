@@ -130,7 +130,8 @@ class TestCorruption:
     @pytest.mark.parametrize("table,message", [
         (DEFAULT_QUANT_TABLE[:4, :4], "must be 8x8"),
         (np.where(DEFAULT_QUANT_TABLE == 16, 256, DEFAULT_QUANT_TABLE), r"in \[1, 255\]"),
-    ], ids=["4x4", "step-256"])
+        (np.full((8, 8), 1.5), "must be integers"),  # a uint8 cast would write 1
+    ], ids=["4x4", "step-256", "step-1.5"])
     def test_serialize_rejects_bad_quant_table(self, table, message):
         f = random_file(np.random.default_rng(18))
         with pytest.raises(ContainerError, match=message) as info:

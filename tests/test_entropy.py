@@ -1,3 +1,4 @@
+import re
 import struct
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from oracles import (
     canonical_codes_reference,
     code_strings,
     decode_reference,
+    deserialize_codebook_reference,
     encode_reference,
     group_symbols_reference,
     huffman_lengths_reference,
@@ -266,8 +268,11 @@ class TestBuildCodebook:
         assert book.lengths == {(0, 1): 2, (0, 2): 2, (1, -1): 1}
 
     def test_kraft_sum_is_exact(self):
-        book = book_of({s: s for s in range(1, 65)})
-        assert book.kraft_sum == 1 - Fraction(1, 2**64)
+        # lengths 1..64 sum to 1 - 2**-64, which a float rounds to 1: refused
+        # as the book is made, with the exact sum
+        message = re.escape(f"Kraft sum {1 - Fraction(1, 2**64)} != 1")
+        with pytest.raises(entropy.KraftViolationError, match=message):
+            book_of({s: s for s in range(1, 65)})
 
 
 class TestHuffmanCodeLengths:
@@ -312,23 +317,11 @@ def fibonacci_book(n):
     return entropy.build_codebook(np.arange(n).reshape(-1, 1), fibonacci(n))[0]
 
 
-def incomplete(book):
-    """Strategy: book without some of its trailing, longest codes, which
-    leaves a Kraft sum below 1 and a gap at the top of the code space."""
-    n = len(book.rows)
-    return st.one_of(st.just(n - 1), st.integers(1, n - 1)).map(
-        lambda m: entropy.CodeBook(book.rows[:m], book.code_lengths[:m]))
-
-
-complete_books = st.one_of(
+# every book the constructor accepts is complete; one-row books are among these
+books = st.one_of(
     st.lists(st.integers(1, 1000), min_size=1, max_size=40).map(
         lambda counts: entropy.build_codebook(np.arange(len(counts)).reshape(-1, 1), counts)[0]),
     st.integers(1, 65).map(fibonacci_book),
-)
-books = st.one_of(
-    complete_books,
-    complete_books.filter(lambda book: len(book.rows) > 1).flatmap(incomplete),
-    st.just(fibonacci_book(65)).flatmap(incomplete),  # the gap may be one 64-bit code
 )
 
 
@@ -400,10 +393,10 @@ class TestEncodeDecode:
             entropy.decode(b"", book, 1, 0)
 
     def test_manual_book(self):
-        book = book_of({10: 1, 20: 2})
-        payload, nbits = entropy.encode([0, 1, 0], book)
-        assert nbits == 4 and bits_of(payload, nbits) == "0100"
-        assert entropy.decode(payload, book, 3, nbits).tolist() == [0, 1, 0]
+        book = book_of({10: 1, 20: 2, 30: 2})  # codes 0, 10 and 11
+        payload, nbits = entropy.encode([0, 1, 2, 0], book)
+        assert nbits == 6 and bits_of(payload, nbits) == "010110"
+        assert entropy.decode(payload, book, 4, nbits).tolist() == [0, 1, 2, 0]
 
     def test_unknown_symbol(self):
         book, _ = code_ids([1, 2])
@@ -464,13 +457,10 @@ class TestEncodeDecode:
         assert entropy.decode(payload, book, len(ids), nbits).tolist() == ids.tolist()
 
     def test_window_in_the_gap_of_an_incomplete_book(self):
-        # the Fibonacci-65 book without its last code, which is 64 one bits:
-        # no code matches the all-ones window
-        book = fibonacci_book(65)
-        book = entropy.CodeBook(book.rows[:-1], book.code_lengths[:-1])
-        short = int(np.argmin(book.code_lengths))
-        payload, nbits = entropy.encode([short] * 3, book)
-        bits = bits_of(payload, nbits) + "1" * 64
+        # the one gap a constructible book has: a one-row book's code is 0, so
+        # no code matches a window that starts with a 1 bit
+        book = book_of({9: 1})
+        bits = "000" + "1"
         args = (pack(bits), book, 4, len(bits))
         assert decode_outcome(entropy.decode, *args) is entropy.BitExhaustionError
         assert decode_outcome(decode_reference, *args) is entropy.BitExhaustionError
@@ -621,3 +611,122 @@ class TestCodebookSerialization:
         data = struct.pack(">I", 1) + b"\x01"
         with pytest.raises(entropy.CodebookError):
             entropy.deserialize_codebook(data, 0)
+
+
+def pack_codebook(rows, lengths, g):
+    """The bytes of a codebook of these entries, made with struct."""
+    return struct.pack(">I", len(lengths)) + b"".join(
+        struct.pack(f">{g}hB", *row, length) for row, length in zip(rows, lengths))
+
+
+def read_codebook(data, g):
+    book, consumed = entropy.deserialize_codebook(data, g)
+    return book.rows.tolist(), book.code_lengths.tolist(), consumed
+
+
+def codebook_outcome(reader, data, g):
+    """(rows, lengths, bytes consumed), or the class and message of the refusal."""
+    try:
+        return reader(data, g)
+    except entropy.EntropyError as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def mutated_codebooks(draw):
+    """(data, g): a serialized Huffman book, changed by up to two mutations."""
+    g = draw(st.sampled_from([1, 2, 5]))
+    parts = st.one_of(st.integers(-3, 3), st.integers(-300, 300))
+    n = draw(st.one_of(st.integers(1, 3), st.integers(1, 30)))  # one and two rows often
+    alphabet = sorted(draw(st.lists(st.tuples(*[parts] * g), min_size=n, max_size=n,
+                                    unique=True)))
+    counts = draw(st.lists(st.integers(1, 1000), min_size=n, max_size=n))
+    book, _ = entropy.build_codebook(np.array(alphabet, np.int64), counts)
+    rows, lengths = list(map(tuple, book.rows.tolist())), book.code_lengths.tolist()
+    declared, cut = 0, False
+    for _ in range(draw(st.integers(0, 2))):
+        op = draw(st.sampled_from(
+            ["swap", "copy", "near-copy", "length", "drop", "declare", "truncate"]))
+        n = len(rows)
+        if op in ("swap", "copy", "near-copy") and n > 1:
+            i = draw(st.integers(0, n - 1))
+            j = (i + draw(st.integers(1, n - 1))) % n  # another entry
+            if op == "swap":
+                rows[i], rows[j], lengths[i], lengths[j] = rows[j], rows[i], lengths[j], lengths[i]
+            else:  # a near copy differs in the last part alone, past part 4 at g = 5
+                step = draw(st.sampled_from([-1, 1])) if op == "near-copy" else 0
+                rows[j] = rows[i][:-1] + (rows[i][-1] + step,)
+        elif op == "length" and n:
+            # the first entry shortened, or the last lengthened, keeps the lengths in order
+            k = draw(st.one_of(st.sampled_from([0, n - 1]), st.integers(0, n - 1)))
+            lengths[k] = draw(st.sampled_from([max(lengths[k] - 1, 0), lengths[k] + 1, 0, 65]))
+        elif op == "drop" and n:
+            rows.pop()
+            lengths.pop()
+        elif op == "declare":
+            declared += draw(st.sampled_from([-1, 1]))
+        elif op == "truncate":
+            cut = True
+    data = pack_codebook(rows, lengths, g)
+    data = struct.pack(">I", max(len(rows) + declared, 0)) + data[4:]
+    if cut:
+        data = data[: draw(st.integers(0, len(data) - 1))]
+    return data, g
+
+
+@st.composite
+def raw_books(draw):
+    """(rows, lengths, g): a few small rows and lengths, sorted or not."""
+    g = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 6))
+    rows = draw(st.lists(st.lists(st.integers(-2, 2), min_size=g, max_size=g),
+                         min_size=n, max_size=n))
+    lengths = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows.sort()
+        lengths.sort()
+    return rows, lengths, g
+
+
+class TestCodebookRules:
+    """Every codebook rule is the CodeBook constructor's, so a book is exactly
+    one that the reader accepts."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(mutated_codebooks())
+    def test_reader_matches_reference(self, args):
+        assert codebook_outcome(read_codebook, *args) == codebook_outcome(
+            deserialize_codebook_reference, *args)
+
+    @pytest.mark.parametrize("rows, lengths, error, message", [
+        ([[5], [3]], [1, 1], entropy.CodebookError, "codebook entries not in canonical order"),
+        ([[3], [3]], [1, 1], entropy.CodebookError, "duplicate symbol in codebook"),
+        ([[3], [5]], [1, 2], entropy.KraftViolationError, "Kraft sum 3/4 != 1"),
+    ], ids=["out-of-order", "duplicate", "incomplete"])
+    def test_book_the_reader_refuses_is_not_made(self, rows, lengths, error, message):
+        # refused where it is made, so no writer can serialize it
+        with pytest.raises(error) as made:
+            entropy.CodeBook(np.array(rows), np.array(lengths))
+        with pytest.raises(error) as read:
+            entropy.deserialize_codebook(pack_codebook(rows, lengths, 1), 1)
+        assert made.type is read.type is error
+        assert str(made.value) == str(read.value) == message
+
+    @settings(max_examples=200, deadline=None)
+    @given(raw_books())
+    def test_made_book_round_trips(self, args):
+        rows, lengths, g = args
+        try:
+            book = entropy.CodeBook(np.array(rows, np.int64).reshape(len(rows), g),
+                                    np.array(lengths, np.int64))
+        except entropy.CodebookError as exc:
+            outcome = type(exc), str(exc)
+        else:
+            data = entropy.serialize_codebook(book)
+            restored, consumed = entropy.deserialize_codebook(data, g)
+            assert consumed == len(data)
+            assert np.array_equal(restored.rows, book.rows)
+            assert np.array_equal(restored.code_lengths, book.code_lengths)
+            outcome = rows, lengths, len(data)
+        data = pack_codebook(rows, lengths, g)
+        assert outcome == codebook_outcome(deserialize_codebook_reference, data, g)
