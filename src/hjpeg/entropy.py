@@ -16,9 +16,13 @@ from the lengths. Every codebook rule lives in the CodeBook constructor, which
 refuses anything but a complete canonical code over distinct int16 rows, so
 serialize_codebook can write only books that deserialize_codebook accepts.
 The encoder ORs the shifted codes into 64-bit words. The decoder matches the
-code at every bit position of the payload once, which tables both where that
-code ends and which code it is, then walks the table 16 symbols per step with
-a table composed from it by pointer jumping.
+code at every bit position of the payload once, by JPEG's lookahead (T.81,
+F.2.2.3): the next K bits index a 2**K table of the length and id of the code
+they start with, K being the longest code length but at most 16, and only a
+book with longer codes matches the positions the table leaves empty by
+searchsorted over the first code of each length. It tables both where each
+code ends and which code it is, then walks that table 16 symbols per step
+with a table composed from it by pointer jumping.
 """
 
 from __future__ import annotations
@@ -34,6 +38,7 @@ import numpy as np
 MAX_CODE_LENGTH = 64
 _BIAS = 0x8000  # maps an int16 part onto 0..0xFFFF, keeping its order
 _BLOCK = 1 << 14  # symbols, or bit positions, per block of the coder's work
+_LOOKAHEAD = 16  # bits of decode's widest lookahead table
 
 
 class EntropyError(ValueError):
@@ -256,48 +261,63 @@ def decode(data: bytes, book: CodeBook, symbol_count: int, bit_length: int) -> n
     leftover coded bits raise DanglingBitsError and codes running past them
     raise BitExhaustionError. Byte-boundary padding past bit_length is ignored.
 
-    The work is done over bit positions rather than symbols. Each position's
-    64-bit window is matched once, in blocks, against the first code of each
-    code length, as in JPEG's table-driven decoding (ITU-T T.81, F.2.2.3):
-    succ[p] is the position after the code that starts at bit p, or p itself
-    where no whole code does, and id_at[p] is that code's id. succ composed
-    16 times, by four squarings, jumps 16 symbols, so a Python loop visits
-    one symbol start in 16 and 15 gathers on succ fill in the rest; the ids
-    are gathered from id_at at those starts. These are the positions a
-    one-symbol-at-a-time decoder would reach, so the errors are the same too.
+    The work is done over bit positions rather than symbols. The code that
+    starts at each position is matched once, in blocks, by JPEG's lookahead
+    (ITU-T T.81, F.2.2.3): the K bits at the position index a 2**K table of
+    the length and id of the code they start with, K being the longest code
+    length but at most 16. Where the table holds length 0, a book with codes
+    longer than K matches the position's 64-bit window with searchsorted
+    against the first code of each longer length. succ[p] is the position
+    after the code that starts at bit p, or p itself where no whole code
+    does, and id_at[p] is that code's id. succ composed 16 times, by four
+    squarings, jumps 16 symbols, so a Python loop visits one symbol start in
+    16 and 15 gathers on succ fill in the rest; the ids are gathered from
+    id_at at those starts. These are the positions a one-symbol-at-a-time
+    decoder would reach, so the errors are the same too.
     """
     end = min(bit_length, 8 * len(data))
     if symbol_count > end:  # every code is at least one bit
         raise BitExhaustionError(f"{symbol_count} symbols cannot fit in {end} bits")
-    # one entry per code length, ascending: the length, its first code, and
-    # its ids, which run from group_index up to (not including) group_end
-    group_len, group_index, group_count = book.length_groups
-    group_first = book.codes[group_index]
-    shift = (MAX_CODE_LENGTH - group_len).astype(np.uint64)
-    group_end = (group_index + group_count).astype(np.uint64)
-    # a window w at or past group_first[g] holds code group_index[g] + k of
-    # that length, k = (w - group_first[g]) >> shift[g], which is
-    # (w >> shift[g]) + base[g] as group_first[g] ends in shift[g] zero bits
-    base = group_index.astype(np.uint64) - (group_first >> shift)  # wraps mod 2**64
+    lengths = book.code_lengths
+    longest = int(lengths[-1])  # lengths ascend in canonical order
+    k = min(longest, _LOOKAHEAD)
+    id_type = np.min_scalar_type(len(book.rows) - 1)
+    # the canonical codes of at most k bits, padded to k bits, are 0..size - 1
+    # in id order: code i covers 2**(k - lengths[i]) entries; the rest stay 0
+    short = lengths[lengths <= k].astype(np.int64)
+    span = 1 << (k - short)
+    size = int(span.sum())
+    table_len = np.zeros(1 << k, np.uint8)
+    table_id = np.zeros(1 << k, id_type)
+    table_len[:size] = np.repeat(short, span)
+    table_id[:size] = np.repeat(np.arange(len(short), dtype=id_type), span)
 
     n_bytes = end // 8 + 1  # byte offsets of the positions 0..end
     buf = np.frombuffer(data[: n_bytes + 8].ljust(n_bytes + 8, b"\0"), np.uint8)
-    # words[b] is the big-endian u64 at byte b; a window starting mid-byte
-    # takes its low bits from buf[b + 8]
-    words = np.ndarray((n_bytes,), ">u8", buf, strides=(1,)).astype(np.uint64)
+    # quads[b] and words[b] are the big-endian u32 and u64 at byte b; the k
+    # bits at position 8b + j are quads[b] >> (32 - k - j), masked to k bits,
+    # as j + k <= 23, and a 64-bit window starting mid-byte takes its low bits
+    # from buf[b + 8]
+    quads = np.ndarray((n_bytes,), ">u4", buf, strides=(1,))
+    words = np.ndarray((n_bytes,), ">u8", buf, strides=(1,))
     succ = np.empty(8 * n_bytes, np.intp)
-    id_at = np.empty(succ.size, np.min_scalar_type(len(book.rows) - 1))
+    id_at = np.empty(succ.size, id_type)
     blocks = [slice(p, min(p + _BLOCK, succ.size)) for p in range(0, succ.size, _BLOCK)]
-    bits = np.arange(8, dtype=np.uint64)
+    drop = 32 - k - np.arange(8)
     for block in blocks:
-        pos = np.arange(block.start, block.stop)
-        byte = pos[::8, None] >> 3
-        w = ((words[byte] << bits) | (buf[byte + 8] >> (np.uint64(8) - bits))).reshape(-1)
-        g = np.searchsorted(group_first[1:], w, "right")  # group_first[0] is 0
-        ids = (w >> shift[g]) + base[g]
-        nxt = pos + group_len[g]
-        succ[block] = np.where((ids < group_end[g]) & (nxt <= end), nxt, pos)
-        id_at[block] = ids  # read only where a whole code starts
+        quad = quads[block.start >> 3 : block.stop >> 3, None].astype(np.intp)
+        prefix = ((quad >> drop) & ((1 << k) - 1)).reshape(-1)
+        code_len = np.take(table_len, prefix)
+        np.take(table_id, prefix, out=id_at[block])  # read only where a whole code starts
+        np.add(np.arange(block.start, block.stop), code_len, out=succ[block])
+        if longest > k:
+            pos = np.flatnonzero(code_len == 0) + block.start
+            code_len, id_at[pos] = _match_long(book, words, buf, pos)
+            succ[pos] += code_len
+    # a code running past end matches nothing; only the last longest positions
+    # (and those past end) can hold one
+    tail = succ[max(end + 1 - longest, 0) :]
+    np.copyto(tail, np.arange(succ.size - tail.size, succ.size), where=tail > end)
     jump = succ[succ]
     for _ in range(3):
         # in place, block by block in ascending order: jump[p] >= p, so a
@@ -325,6 +345,28 @@ def decode(data: bytes, book: CodeBook, symbol_count: int, bit_length: int) -> n
     if stop != bit_length:
         raise DanglingBitsError(f"decoded {stop} bits but payload declares {bit_length}")
     return out
+
+
+def _match_long(book: CodeBook, words: np.ndarray, buf: np.ndarray,
+                pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(length, id) of the code that starts at each bit position pos, 0 where no
+    code does, matched by searchsorted of the 64-bit window at the position
+    against the first code of each code length (words and buf as in decode)."""
+    # one entry per code length, ascending: the length, its first code, and
+    # its ids, which run from group_index up to (not including) group_end
+    group_len, group_index, group_count = book.length_groups
+    group_first = book.codes[group_index]
+    shift = (MAX_CODE_LENGTH - group_len).astype(np.uint64)
+    group_end = (group_index + group_count).astype(np.uint64)
+    # a window w at or past group_first[g] holds code group_index[g] + k of
+    # that length, k = (w - group_first[g]) >> shift[g], which is
+    # (w >> shift[g]) + base[g] as group_first[g] ends in shift[g] zero bits
+    base = group_index.astype(np.uint64) - (group_first >> shift)  # wraps mod 2**64
+    byte, bit = pos >> 3, (pos & 7).astype(np.uint64)
+    w = (words[byte].astype(np.uint64) << bit) | (buf[byte + 8] >> (np.uint64(8) - bit))
+    g = np.searchsorted(group_first[1:], w, "right")  # group_first[0] is 0
+    ids = (w >> shift[g]) + base[g]
+    return np.where(ids < group_end[g], group_len[g], 0), ids
 
 
 def _entry_dtype(g: int) -> np.dtype:

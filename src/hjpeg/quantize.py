@@ -44,8 +44,9 @@ def quantize(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def dequantize(levels: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Multiply levels by the table steps; float64 result."""
-    return np.asarray(levels, dtype=np.float64) * q
+    """Multiply levels by the table steps; float64 result, from one multiply that
+    casts both operands to float64 as it goes."""
+    return np.multiply(levels, q, dtype=np.float64)
 
 
 def zigzag(block: np.ndarray) -> np.ndarray:

@@ -24,9 +24,14 @@ def level_shift(block: np.ndarray) -> np.ndarray:
 
 def level_unshift(block: np.ndarray) -> np.ndarray:
     """Inverse shift: add 128, round half away from zero, clamp to [0, 255]; the
-    floor(x + 0.5) below differs from that only at negative ties, which clamp to 0."""
-    shifted = np.asarray(block, dtype=np.float64) + 128.0
-    return np.clip(np.floor(shifted + 0.5), 0, 255).astype(np.uint8)
+    floor(x + 0.5) below differs from that only at negative ties, which clamp to 0.
+    The sum with 128 is a new array, and the rounding and clamping work in place
+    on it, so the argument is left as it is."""
+    pixels = np.asarray(block, dtype=np.float64) + 128.0
+    pixels += 0.5
+    np.floor(pixels, out=pixels)
+    np.clip(pixels, 0, 255, out=pixels)
+    return pixels.astype(np.uint8)
 
 
 def fdct(block: np.ndarray) -> np.ndarray:

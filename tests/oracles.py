@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from hjpeg import entropy, quantize, transform
+from hjpeg.container import CompressedFile
 from hjpeg.entropy import (
     BitExhaustionError,
     CodeBook,
@@ -245,6 +247,24 @@ def decode_reference(data: bytes, book: CodeBook, symbol_count: int,
             f"decoded {pos} bits but payload declares {bit_length}"
         )
     return np.array(out, dtype=np.intp)
+
+
+def decompress_reference(file: CompressedFile) -> Image:
+    """codec.decompress with its inverse front end written out of place: every
+    step (dequantize, the level unshift, rounding and clamping) makes a new
+    full-size array from the last."""
+    ids = entropy.decode(file.payload, file.codebook, file.symbol_count,
+                         file.payload_bit_length)
+    h, w = file.padded_height, file.padded_width
+    seq = file.codebook.rows[ids].reshape(-1)[: h * w]
+    if file.dc_diff:
+        seq = quantize.dc_differential_decode(seq)
+    levels = quantize.inverse_zigzag(seq.reshape(-1, 64))
+    coeffs = np.asarray(levels, dtype=np.float64) * file.quant_table
+    shifted = transform.idct(coeffs) + 128.0
+    blocks = np.clip(np.floor(shifted + 0.5), 0, 255).astype(np.uint8)
+    full = blocks.reshape(h // 8, w // 8, 8, 8).transpose(0, 2, 1, 3).reshape(h, w)
+    return Image(full[: file.orig_height, : file.orig_width])
 
 
 def deserialize_codebook_reference(data: bytes, g: int) -> tuple[list, list, int]:

@@ -2,12 +2,15 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from golden import GOLDEN_BLOCK
 from hjpeg import codec, container, entropy, quantize, transform
 from hjpeg.codec import CodecConfig
 from hjpeg.image import Image, generate_test_image
-from oracles import quantize_oracle
+from oracles import decompress_reference, quantize_oracle
+from test_fingerprint import MODES
 
 CORPUS = [
     ("gradient", 64, 64),
@@ -177,3 +180,42 @@ class TestDecompress:
             (container.InvariantError, entropy.EntropyError, ValueError)
         ):
             codec.decompress_bytes(bytes(data))
+
+
+@st.composite
+def small_images(draw):
+    """Random pixels, one flat level (a flat block's DC lands on a rounding
+    tie for half of the levels) or a fingerprint kind, 1 to 40 px a side."""
+    width, height = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["random", "flat", "gradient", "checker", "noise"]))
+    if kind == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+        return Image(rng.integers(0, 256, (height, width), dtype=np.uint8))
+    if kind == "flat":
+        return Image(np.full((height, width), draw(st.integers(0, 255)), np.uint8))
+    return generate_test_image(kind, width, height, draw(st.integers(0, 99)))
+
+
+def every_config():
+    return [CodecConfig(entropy_mode=mode, group_size=g, dc_diff=dc)
+            for mode, g in MODES.values() for dc in (False, True)]
+
+
+class TestInverseFrontEnd:
+    """codec.decompress, which rounds and clamps in place, against the same
+    steps written out of place."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_images())
+    def test_matches_reference(self, img):
+        for cfg in every_config():
+            file, _ = codec.compress(img, cfg)
+            assert codec.decompress(file) == decompress_reference(file)
+
+    def test_every_flat_level(self):
+        # a 128x128 mosaic of 8x8 blocks, one per level 0..255
+        img = Image(np.kron(np.arange(256, dtype=np.uint8).reshape(16, 16),
+                            np.ones((8, 8), np.uint8)))
+        for cfg in every_config():
+            file, _ = codec.compress(img, cfg)
+            assert codec.decompress(file) == decompress_reference(file)

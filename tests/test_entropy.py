@@ -312,16 +312,35 @@ def pack(bits):
     return (int(bits or "0", 2) << pad).to_bytes((len(bits) + pad) // 8, "big")
 
 
+def book_over(counts):
+    return entropy.build_codebook(np.arange(len(counts)).reshape(-1, 1), counts)[0]
+
+
 def fibonacci_book(n):
     """Huffman book over n Fibonacci counts: a chain n - 1 bits deep."""
-    return entropy.build_codebook(np.arange(n).reshape(-1, 1), fibonacci(n))[0]
+    return book_over(fibonacci(n))
 
+
+def longest(book):
+    return int(book.code_lengths[-1])
+
+
+# books whose longest code is 15 to 18 bits, around decode's 16-bit lookahead
+# table: a Fibonacci chain, alone, above a tail of count-1 symbols, or below
+# 1,000-4,000 equal counts, which need ids of 16 bits
+deep_books = st.one_of(
+    st.integers(16, 19).map(fibonacci_book),
+    st.builds(lambda n, tail: book_over([tail * c for c in fibonacci(n)] + [1] * tail),
+              st.integers(10, 17), st.integers(1, 64)),
+    st.builds(lambda flat, n: book_over([2 * fibonacci(n)[-1]] * flat + fibonacci(n)),
+              st.integers(1000, 4000), st.integers(5, 10)),
+).filter(lambda book: 15 <= longest(book) <= 18)
 
 # every book the constructor accepts is complete; one-row books are among these
 books = st.one_of(
-    st.lists(st.integers(1, 1000), min_size=1, max_size=40).map(
-        lambda counts: entropy.build_codebook(np.arange(len(counts)).reshape(-1, 1), counts)[0]),
+    st.lists(st.integers(1, 1000), min_size=1, max_size=40).map(book_over),
     st.integers(1, 65).map(fibonacci_book),
+    deep_books,
 )
 
 
@@ -455,6 +474,30 @@ class TestEncodeDecode:
         ]:
             assert decode_outcome(entropy.decode, *args) == decode_outcome(decode_reference, *args)
         assert entropy.decode(payload, book, len(ids), nbits).tolist() == ids.tolist()
+
+    @pytest.mark.parametrize("n", [17, 19], ids=["longest-16", "longest-18"])
+    def test_last_code_within_the_table_width_of_the_end(self, n):
+        # the table is 16 bits wide; at 18 bits, the longer codes go through
+        # searchsorted. The payload crosses _BLOCK bit positions several times
+        # and ends in short codes, whose table windows read past the end
+        book = fibonacci_book(n)
+        assert longest(book) == n - 1
+        ids = np.random.default_rng(n + 1).integers(0, n, 6000).tolist()
+        ids += [n - 1, 0, 1, 0]  # the deepest code, then 1-, 2- and 1-bit codes
+        payload, nbits = entropy.encode(ids, book)
+        assert nbits > 3 * entropy._BLOCK and nbits % 8
+        ones = payload[:-1] + bytes([payload[-1] | (0xFF >> nbits % 8)])
+        for args in [
+            (payload, book, len(ids), nbits),
+            (ones, book, len(ids), nbits),  # the byte padding past the end is all 1s
+            (payload, book, len(ids) + 1, nbits),
+            (payload, book, len(ids) - 1, nbits),
+            (payload, book, len(ids), nbits - 1),
+            (payload, book, len(ids), nbits + 1),
+            (payload[:-1], book, len(ids), nbits),
+        ]:
+            assert decode_outcome(entropy.decode, *args) == decode_outcome(decode_reference, *args)
+        assert entropy.decode(ones, book, len(ids), nbits).tolist() == ids
 
     def test_window_in_the_gap_of_an_incomplete_book(self):
         # the one gap a constructible book has: a one-row book's code is 0, so

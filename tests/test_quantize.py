@@ -54,6 +54,12 @@ class TestQuantize:
         levels[0, 0] = 26
         assert quantize.dequantize(levels, q)[0, 0] == 416.0
 
+    def test_dequantize_leaves_its_argument(self):
+        levels = np.linspace(-40.0, 40.0, 64).reshape(8, 8)
+        before = levels.copy()
+        quantize.dequantize(levels, quantize.DEFAULT_QUANT_TABLE)
+        assert np.array_equal(levels, before)
+
     def test_quantization_error_bound(self):
         rng = np.random.default_rng(0)
         q = quantize.DEFAULT_QUANT_TABLE

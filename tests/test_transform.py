@@ -39,6 +39,13 @@ class TestLevelShift:
         assert np.all(transform.level_unshift(np.full((8, 8), value)) == expected)
 
 
+    def test_unshift_leaves_its_argument(self):
+        block = np.linspace(-300.0, 300.0, 64).reshape(8, 8)
+        before = block.copy()
+        transform.level_unshift(block)
+        assert np.array_equal(block, before)
+
+
 class TestFdct:
     def test_golden_block(self):
         coeffs = transform.fdct(GOLDEN_BLOCK)
