@@ -1,4 +1,5 @@
-"""Command-line interface: compress, decompress, inspect, bench."""
+"""Command-line interface: compress, decompress, inspect, bench. `bench` makes the
+quantized levels of each image once and codes them under its four configs."""
 
 from __future__ import annotations
 
@@ -6,6 +7,8 @@ import argparse
 import re
 import sys
 from pathlib import Path
+
+import numpy as np
 
 from . import codec, container, entropy, metrics
 from .codec import CodecConfig
@@ -37,17 +40,17 @@ def _error_class(exc: Exception) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
 
 
-def _run(name: str, img: Image,
-         cfg: CodecConfig) -> tuple[bytes, Image, CompressionReport]:
-    """Compress, decode the container back, and report on that one pass."""
-    file, counts = codec.compress(img, cfg)
+def _run(name: str, img: Image, file: container.CompressedFile,
+         counts: np.ndarray) -> tuple[bytes, Image, CompressionReport]:
+    """Serialize `file`, which codes `img` with `counts` per symbol as compress
+    returns them, decode the container back, and report on that one pass."""
     data = container.serialize(file)
     restored = codec.decompress(container.deserialize(data))
     original_bits = img.width * img.height * 8
     report = CompressionReport(
         image=name,
-        group_size=cfg.group_size,
-        dc_diff=cfg.dc_diff,
+        group_size=file.group_size,
+        dc_diff=file.dc_diff,
         entropy_bits=metrics.empirical_entropy(counts),
         l_avg=file.payload_bit_length / file.symbol_count,
         payload_cr=metrics.compression_ratio(original_bits, file.payload_bit_length),
@@ -61,7 +64,7 @@ def cmd_compress(args) -> int:
     cfg = CodecConfig("scalar" if args.entropy == "huffman" else "reduced",
                       args.group_size, args.dc_diff)
     img = read_pgm(Path(args.input).read_bytes())
-    data, _, report = _run(Path(args.input).name, img, cfg)
+    data, _, report = _run(Path(args.input).name, img, *codec.compress(img, cfg))
     Path(args.output).write_bytes(data)
     print(CompressionReport.CSV_HEADER)
     print(report.csv_row())
@@ -109,11 +112,18 @@ def _load_corpus(corpus: str | None) -> list[tuple[str, Image]]:
 
 def bench_image(name: str, img: Image, group_size: int) -> list[CompressionReport]:
     """Scalar then reduced report per DC setting, parity-checked; a reduced report
-    carries its payload_cr gain in percent over the scalar one."""
+    carries its payload_cr gain in percent over the scalar one. The front end runs
+    once: all four configs code the same levels."""
+    levels = codec.image_to_levels(img)
+
+    def run(mode: str, dc: bool) -> tuple[bytes, Image, CompressionReport]:
+        cfg = CodecConfig(mode, group_size, dc)
+        return _run(name, img, *codec.compress_levels(levels, img.width, img.height, cfg))
+
     reports = []
     for dc in (False, True):
-        _, scalar_img, scalar = _run(name, img, CodecConfig("scalar", group_size, dc))
-        _, reduced_img, reduced = _run(name, img, CodecConfig("reduced", group_size, dc))
+        _, scalar_img, scalar = run("scalar", dc)
+        _, reduced_img, reduced = run("reduced", dc)
         if scalar_img != reduced_img:
             raise ParityError(f"mode parity violated on {name} (dc_diff={dc})")
         reduced.improvement_pct = 100.0 * (reduced.payload_cr / scalar.payload_cr - 1.0)
@@ -169,6 +179,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:  # numpy's _ArrayMemoryError says what it could not get
+        print(f"error: out-of-memory: {exc or 'not enough memory'}", file=sys.stderr)
         return EXIT_IO
     except (ParityError, container.InvariantError) as exc:
         print(f"error: {_error_class(exc)}: {exc}", file=sys.stderr)

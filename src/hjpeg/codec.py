@@ -1,4 +1,9 @@
-"""End-to-end compressor/decompressor for the block-DCT pipeline."""
+"""End-to-end compressor/decompressor for the block-DCT pipeline.
+
+compress is image_to_levels, the front end (padding, DCT, quantization, zigzag),
+then compress_levels, which codes the levels under one config, so a caller that
+codes an image several ways, as `hjpeg bench` does, runs the front end once.
+"""
 
 from __future__ import annotations
 
@@ -49,36 +54,53 @@ def _from_blocks(blocks: np.ndarray, h: int, w: int) -> np.ndarray:
     )
 
 
-def image_to_symbols(img: Image, cfg: CodecConfig) -> np.ndarray:
-    """Transform + quantize + zigzag every block; flat coefficient stream."""
-    padded = pad_to_blocks(img)
-    blocks = _to_blocks(padded.pixels)
+def image_to_levels(img: Image) -> np.ndarray:
+    """Pad, transform, quantize and zigzag every block: the flat int64 levels, 64 per
+    block in row-major block order, before any DC differencing. Every config shares
+    the quantization table, so one levels array serves every config of an image.
+    Refuses an image too large for the container before doing any work."""
+    container.padded_size(img.width, img.height)
+    blocks = _to_blocks(pad_to_blocks(img).pixels)
     coeffs = transform.fdct(transform.level_shift(blocks))
-    levels = quantize.quantize(coeffs, cfg.quant_table)
-    seq = quantize.zigzag(levels).reshape(-1).astype(np.int64)
-    if cfg.dc_diff:
-        seq = quantize.dc_differential_encode(seq)
-    return seq
+    levels = quantize.quantize(coeffs, CodecConfig.quant_table)
+    return quantize.zigzag(levels).reshape(-1).astype(np.int64)
+
+
+def _stream(levels: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    return quantize.dc_differential_encode(levels) if cfg.dc_diff else levels
+
+
+def image_to_symbols(img: Image, cfg: CodecConfig) -> np.ndarray:
+    """The flat coefficient stream that `cfg` codes: the levels, DC-differenced if
+    cfg.dc_diff."""
+    return _stream(image_to_levels(img), cfg)
+
+
+def compress_levels(
+    levels: np.ndarray, width: int, height: int, cfg: CodecConfig
+) -> tuple[CompressedFile, np.ndarray]:
+    """The container of a `width` x `height` image whose image_to_levels are
+    `levels`, coded under `cfg`, and how often each symbol of its sorted alphabet
+    occurs."""
+    rows, ids, counts, _ = entropy.group_symbols(_stream(levels, cfg), cfg.group_size)
+    book, rank = entropy.build_codebook(rows, counts)
+    payload, bit_length = entropy.encode(rank[ids], book)
+    return CompressedFile(
+        dc_diff=cfg.dc_diff,
+        orig_width=width,
+        orig_height=height,
+        quant_table=cfg.quant_table,
+        codebook=book,
+        payload=payload,
+        payload_bit_length=bit_length,
+    ), counts
 
 
 def compress(
     img: Image, cfg: CodecConfig | None = None
 ) -> tuple[CompressedFile, np.ndarray]:
     """The container for `img` and how often each symbol of its sorted alphabet occurs."""
-    cfg = cfg or CodecConfig()
-    container.padded_size(img.width, img.height)  # refuse a too-large image up front
-    rows, ids, counts, _ = entropy.group_symbols(image_to_symbols(img, cfg), cfg.group_size)
-    book, rank = entropy.build_codebook(rows, counts)
-    payload, bit_length = entropy.encode(rank[ids], book)
-    return CompressedFile(
-        dc_diff=cfg.dc_diff,
-        orig_width=img.width,
-        orig_height=img.height,
-        quant_table=cfg.quant_table,
-        codebook=book,
-        payload=payload,
-        payload_bit_length=bit_length,
-    ), counts
+    return compress_levels(image_to_levels(img), img.width, img.height, cfg or CodecConfig())
 
 
 def decompress(file: CompressedFile) -> Image:

@@ -8,8 +8,7 @@ that the writer makes of the file it reads, so the writer alone decides it.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,10 +72,11 @@ def padded_size(width: int, height: int) -> tuple[int, int]:
 @dataclass(frozen=True, eq=False)
 class CompressedFile:
     """What a container holds that nothing else decides. The header's padded sides,
-    pad count and symbol count follow from the original size and the codebook's g.
-    The constructor makes the "Reader checks" of docs/format.md that these fields
-    decide, and the file is frozen, so they hold for its life. Only fields that
-    contradict each other raise InvariantError."""
+    pad count and symbol count follow from the original size and the codebook's g;
+    the constructor derives them once, as fields that are not arguments. It also
+    makes the "Reader checks" of docs/format.md that these fields decide, and the
+    file is frozen, so they hold for its life. Only fields that contradict each
+    other raise InvariantError."""
 
     dc_diff: bool
     orig_width: int
@@ -85,13 +85,24 @@ class CompressedFile:
     codebook: CodeBook
     payload: bytes
     payload_bit_length: int
+    # what the header derives from the fields above; set by the constructor
+    padded_width: int = field(init=False, repr=False)
+    padded_height: int = field(init=False, repr=False)
+    symbol_count: int = field(init=False, repr=False)
+    pad_count: int = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.orig_width < 1 or self.orig_height < 1:
             raise ContainerError("original dimensions must be at least 1")
-        if self.group_size > 0xFF:
+        g = self.codebook.group_size
+        if g > 0xFF:
             raise GroupSizeTooLargeError("group size does not fit a u8 field")
-        symbol_count = self.symbol_count  # refuses a side above MAX_DIMENSION
+        width, height = padded_size(self.orig_width, self.orig_height)
+        symbol_count = -(-width * height // g)
+        for name, value in (("padded_width", width), ("padded_height", height),
+                            ("symbol_count", symbol_count),
+                            ("pad_count", symbol_count * g - width * height)):
+            object.__setattr__(self, name, value)
         if self.payload_bit_length >= 1 << 32:
             raise PayloadTooLargeError("payload bit length does not fit a u32 field")
         if len(self.payload) != (self.payload_bit_length + 7) // 8:
@@ -101,32 +112,18 @@ class CompressedFile:
         longest = int(self.codebook.code_lengths[-1])  # as the lengths are canonical
         if self.payload_bit_length > symbol_count * longest:
             raise InvariantError("more payload bits than the symbols' longest codes fill")
-        if np.shape(self.quant_table) != (8, 8):
+        table = np.asarray(self.quant_table)
+        if table.shape != (8, 8):
             raise ContainerError("quantization table must be 8x8")
-        if np.min(self.quant_table) < 1 or np.max(self.quant_table) > 255:
+        if table.min() < 1 or table.max() > 255:
             raise ContainerError("quantization steps must be in [1, 255]")
-        if np.mod(self.quant_table, 1).any():  # refuse what a uint8 cast would change
+        # refuse what a uint8 cast would change; an integer table has no fraction
+        if table.dtype.kind not in "iu" and np.mod(table, 1).any():
             raise ContainerError("quantization steps must be integers")
 
     @property
     def group_size(self) -> int:
         return self.codebook.group_size
-
-    @cached_property
-    def padded_width(self) -> int:
-        return padded_size(self.orig_width, self.orig_height)[0]
-
-    @cached_property
-    def padded_height(self) -> int:
-        return padded_size(self.orig_width, self.orig_height)[1]
-
-    @cached_property
-    def symbol_count(self) -> int:
-        return -(-self.padded_width * self.padded_height // self.group_size)
-
-    @cached_property
-    def pad_count(self) -> int:
-        return self.symbol_count * self.group_size - self.padded_width * self.padded_height
 
 
 def header(file: CompressedFile) -> bytes:

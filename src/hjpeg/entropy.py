@@ -28,6 +28,7 @@ with a table composed from it by pointer jumping.
 from __future__ import annotations
 
 import math
+import operator
 import struct
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -82,7 +83,7 @@ def _sort_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise EntropyError("symbol part outside the signed 16-bit range")
     keys = rows.T.astype(np.uint16, order="C") + np.uint16(_BIAS)
     order = np.lexsort(keys[::-1])
-    keys = np.take(keys, order, axis=1)
+    keys = keys.take(order, axis=1)
     return order, (keys[:, 1:] != keys[:, :-1]).any(axis=0)
 
 
@@ -102,8 +103,8 @@ def group_symbols(seq, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]
     pad_count = -seq.size % g
     rows = np.concatenate([seq, np.zeros(pad_count, np.int64)]).reshape(-1, g)
     order, differs = _sort_rows(rows)
-    edges = np.flatnonzero(np.concatenate(([True], differs, [True])))  # run starts, then n
-    counts = np.diff(edges)
+    edges = np.concatenate(([True], differs, [True])).nonzero()[0]  # run starts, then n
+    counts = edges[1:] - edges[:-1]
     ids = np.empty(len(rows), np.intp)
     ids[order] = np.repeat(np.arange(len(counts)), counts)
     return rows[order[edges[:-1]]], ids, counts, pad_count
@@ -129,7 +130,7 @@ class CodeBook:
             raise InvalidCodeLengthError("code length out of range")
         if (lengths[1:] < lengths[:-1]).any():
             raise CodebookError("code lengths not in canonical order")
-        if self.kraft_sum > 1:
+        if self._kraft_total > 1 << MAX_CODE_LENGTH:
             raise KraftViolationError(f"Kraft sum {self.kraft_sum} > 1")
         by_symbol, differs = _sort_rows(rows)
         if not differs.all():
@@ -138,7 +139,7 @@ class CodeBook:
         place[by_symbol] = np.arange(len(rows))
         if ((lengths[1:] == lengths[:-1]) & (place[1:] < place[:-1])).any():
             raise CodebookError("codebook entries not in canonical order")
-        if len(rows) >= 2 and self.kraft_sum != 1:
+        if len(rows) >= 2 and self._kraft_total != 1 << MAX_CODE_LENGTH:
             raise KraftViolationError(f"Kraft sum {self.kraft_sum} != 1")
         if len(rows) == 1 and lengths[0] != 1:
             raise KraftViolationError("single-symbol alphabet must use length 1")
@@ -171,11 +172,16 @@ class CodeBook:
         return np.unique(self.code_lengths, return_index=True, return_counts=True)
 
     @cached_property
+    def _kraft_total(self) -> int:
+        """The Kraft sum in units of 2**-64, exact: count << (64 - length) summed over
+        one bincount of the lengths, which the constructor has checked are in 1..64."""
+        hist = np.bincount(self.code_lengths).tolist()
+        return sum(map(operator.lshift, hist, range(MAX_CODE_LENGTH, -1, -1)))
+
+    @property
     def kraft_sum(self) -> Fraction:
         """Exact sum of 2**-length over the alphabet; 1 for a complete code."""
-        lengths, _, counts = (a.tolist() for a in self.length_groups)
-        total = sum(c << (MAX_CODE_LENGTH - l) for l, c in zip(lengths, counts))
-        return Fraction(total, 1 << MAX_CODE_LENGTH)
+        return Fraction(self._kraft_total, 1 << MAX_CODE_LENGTH)
 
 
 def huffman_code_lengths(counts) -> list[int]:
@@ -219,7 +225,7 @@ def build_codebook(rows: np.ndarray, counts) -> tuple[CodeBook, np.ndarray]:
     counts[k] occurrences of rows[k], as a book in canonical order; rank[k] is
     the book's id of rows[k]."""
     lengths = np.array(huffman_code_lengths(counts), np.int64)
-    order = np.argsort(lengths, kind="stable")
+    order = lengths.argsort(kind="stable")
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
     return CodeBook(rows[order], lengths[order]), rank
@@ -242,13 +248,16 @@ def encode(ids, book: CodeBook) -> tuple[bytes, int]:
     for s0 in range(0, ids.size, _BLOCK):
         block = ids[s0 : s0 + _BLOCK]
         size = lengths[block]
-        ends = np.cumsum(size) + end
+        ends = size.cumsum() + end
         starts = ends - size
         end = int(ends[-1])
         word, shift = starts >> 6, (starts & 63).astype(np.uint64)
         code = codes[block]
-        heads = np.flatnonzero(np.diff(word, prepend=-1))  # first code in each word
-        words[word[heads]] |= np.bitwise_or.reduceat(code >> shift, heads)
+        # a code fills at most a word, so word steps by 0 or 1 and each word from
+        # the first to the last has a code starting in it
+        first, last = int(word[0]), int(word[-1])
+        heads = word.searchsorted(np.arange(first, last + 1))  # first code in each word
+        words[first : last + 1] |= np.bitwise_or.reduceat(code >> shift, heads)
         cross = (ends - 1) >> 6 != word  # so shift >= 1, as no code exceeds 64 bits
         words[word[cross] + 1] |= code[cross] << (np.uint64(64) - shift[cross])
     return words.astype(">u8").tobytes()[: (total + 7) // 8], total
@@ -289,8 +298,8 @@ def decode(data: bytes, book: CodeBook, symbol_count: int, bit_length: int) -> n
     size = int(span.sum())
     table_len = np.zeros(1 << k, np.uint8)
     table_id = np.zeros(1 << k, id_type)
-    table_len[:size] = np.repeat(short, span)
-    table_id[:size] = np.repeat(np.arange(len(short), dtype=id_type), span)
+    table_len[:size] = short.repeat(span)
+    table_id[:size] = np.arange(len(short), dtype=id_type).repeat(span)
 
     n_bytes = end // 8 + 1  # byte offsets of the positions 0..end
     buf = np.frombuffer(data[: n_bytes + 8].ljust(n_bytes + 8, b"\0"), np.uint8)
@@ -307,8 +316,8 @@ def decode(data: bytes, book: CodeBook, symbol_count: int, bit_length: int) -> n
     for block in blocks:
         quad = quads[block.start >> 3 : block.stop >> 3, None].astype(np.intp)
         prefix = ((quad >> drop) & ((1 << k) - 1)).reshape(-1)
-        code_len = np.take(table_len, prefix)
-        np.take(table_id, prefix, out=id_at[block])  # read only where a whole code starts
+        code_len = table_len.take(prefix)
+        table_id.take(prefix, out=id_at[block])  # read only where a whole code starts
         np.add(np.arange(block.start, block.stop), code_len, out=succ[block])
         if longest > k:
             pos = np.flatnonzero(code_len == 0) + block.start

@@ -142,9 +142,13 @@ def generate_test_image(kind: str, width: int, height: int, seed: int = 0) -> Im
 
 
 def pad_to_blocks(img: Image) -> Image:
-    """Pad width and height up to multiples of 8 by replicating edge samples."""
-    pad_h = (-img.height) % BLOCK_SIZE
-    pad_w = (-img.width) % BLOCK_SIZE
-    if pad_h == 0 and pad_w == 0:
-        return img
-    return Image(np.pad(img.pixels, ((0, pad_h), (0, pad_w)), mode="edge"))
+    """Pad width and height up to multiples of 8 by replicating edge samples: the
+    image, then copies of its last row below it, then copies of the last column
+    of that to the right, written into one new array."""
+    h, w = img.pixels.shape
+    size = -(-h // BLOCK_SIZE) * BLOCK_SIZE, -(-w // BLOCK_SIZE) * BLOCK_SIZE
+    padded = np.empty(size, np.uint8)
+    padded[:h, :w] = img.pixels
+    padded[h:, :w] = img.pixels[-1]
+    padded[:, w:] = padded[:, w - 1 : w]
+    return Image(padded)

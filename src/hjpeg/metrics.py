@@ -36,8 +36,10 @@ def psnr(a: Image, b: Image) -> float:
         raise ValueError(
             f"dimension mismatch: {a.width}x{a.height} vs {b.width}x{b.height}"
         )
-    diff = a.pixels.astype(np.float64) - b.pixels.astype(np.float64)
-    mse = np.mean(diff * diff)
+    # the squared error summed exactly in int64, then divided once: the value of
+    # a float64 mean, whose partial sums of integers stay below 2**53
+    diff = np.subtract(a.pixels, b.pixels, dtype=np.int64)
+    mse = int((diff * diff).sum()) / diff.size
     if mse == 0:
         return math.inf
     return 10.0 * math.log10(255.0**2 / mse)

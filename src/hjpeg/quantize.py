@@ -34,13 +34,16 @@ INVERSE_ZIGZAG_INDEX = np.argsort(ZIGZAG_INDEX)
 
 
 def quantize(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Divide by the table and round half away from zero; int16 result."""
-    c = np.asarray(coeffs, dtype=np.float64)
-    ratio = c / q
-    levels = np.sign(ratio) * np.floor(np.abs(ratio) + 0.5)
-    if np.abs(levels).max(initial=0) > np.iinfo(np.int16).max:
+    """Divide by the table and round half away from zero; int16 result. The
+    magnitude floor(|c / q| + 0.5) is made and range-checked in place, then takes
+    the sign of c / q: +0 and -0 both give level 0."""
+    ratio = np.asarray(coeffs, dtype=np.float64) / q
+    levels = np.abs(ratio)
+    levels += 0.5
+    np.floor(levels, out=levels)
+    if levels.max(initial=0) > np.iinfo(np.int16).max:
         raise OverflowError("quantized level exceeds 16-bit range")
-    return levels.astype(np.int16)
+    return np.copysign(levels, ratio, out=levels).astype(np.int16)
 
 
 def dequantize(levels: np.ndarray, q: np.ndarray) -> np.ndarray:

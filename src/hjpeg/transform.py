@@ -19,7 +19,7 @@ _C = _basis_matrix()
 
 def level_shift(block: np.ndarray) -> np.ndarray:
     """Shift unsigned samples [0, 255] to signed [-128, 127]."""
-    return np.asarray(block, dtype=np.float64) - 128.0
+    return np.subtract(block, 128.0, dtype=np.float64)
 
 
 def level_unshift(block: np.ndarray) -> np.ndarray:
@@ -27,7 +27,7 @@ def level_unshift(block: np.ndarray) -> np.ndarray:
     floor(x + 0.5) below differs from that only at negative ties, which clamp to 0.
     The sum with 128 is a new array, and the rounding and clamping work in place
     on it, so the argument is left as it is."""
-    pixels = np.asarray(block, dtype=np.float64) + 128.0
+    pixels = np.add(block, 128.0, dtype=np.float64)
     pixels += 0.5
     np.floor(pixels, out=pixels)
     np.clip(pixels, 0, 255, out=pixels)

@@ -112,6 +112,12 @@ def kraft_sum_exact(lengths) -> Fraction:
     return sum(Fraction(1, 2**l) for l in lengths)
 
 
+def pad_to_blocks_reference(img: Image) -> Image:
+    """image.pad_to_blocks by np.pad's edge mode."""
+    pad = ((0, -img.height % 8), (0, -img.width % 8))
+    return Image(np.pad(img.pixels, pad, mode="edge"))
+
+
 def fdct_reference(block) -> np.ndarray:
     """Direct quadruple-loop evaluation of the forward 8x8 DCT.
 

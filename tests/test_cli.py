@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -375,7 +376,8 @@ class TestBenchCommand:
 
 
 def test_one_symbol_pass_per_report_row(tmp_path, monkeypatch, capsys):
-    # every CSV row is read from the compress that made its container
+    # every CSV row is read from the compress that made its container, and the
+    # bench runs the front end once per image for its four rows
     calls = {}
 
     def count(module, name):
@@ -387,7 +389,7 @@ def test_one_symbol_pass_per_report_row(tmp_path, monkeypatch, capsys):
 
         monkeypatch.setattr(module, name, counted)
 
-    count(codec, "image_to_symbols")
+    count(codec, "image_to_levels")
     count(entropy, "group_symbols")
     corpus = tmp_path / "corpus"
     corpus.mkdir()
@@ -396,12 +398,47 @@ def test_one_symbol_pass_per_report_row(tmp_path, monkeypatch, capsys):
     assert cli.main(["bench", "--corpus", str(corpus)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     assert len(rows) == 8
-    assert calls == {"image_to_symbols": 8, "group_symbols": 8}
+    assert calls == {"image_to_levels": 2, "group_symbols": 8}
 
     calls.clear()
     src = str(corpus / "noise.pgm")
     assert cli.main(["compress", src, str(tmp_path / "o.hjpg")]) == 0
-    assert calls == {"image_to_symbols": 1, "group_symbols": 1}
+    assert calls == {"image_to_levels": 1, "group_symbols": 1}
+
+
+def test_out_of_memory_is_one_error_line(tmp_path):
+    # a child process lowers its own address-space limit after its imports and
+    # then decompresses a 2048x2048 container, whose decode tables alone need
+    # more than the limit leaves
+    resource = pytest.importorskip("resource", reason="no resource module on this platform")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("this platform has no RLIMIT_AS to lower")
+    if not os.path.exists("/proc/self/statm"):
+        pytest.skip("no /proc/self/statm to size the child's limit from")
+    side = 2048
+    book = entropy.CodeBook(np.zeros((1, 1), np.int64), np.ones(1, np.int64))
+    file = container.CompressedFile(False, side, side, CodecConfig.quant_table, book,
+                                    bytes(side * side // 8), side * side)
+    packed = tmp_path / "big.hjpg"
+    packed.write_bytes(container.serialize(file))
+    child = (
+        "import resource, sys\n"
+        "from hjpeg import cli\n"
+        "used = int(open('/proc/self/statm').read().split()[0]) * resource.getpagesize()\n"
+        "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (used + (64 << 20), hard))\n"
+        "sys.exit(cli.main(sys.argv[1:]))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    result = subprocess.run(
+        [sys.executable, "-c", child, "decompress", str(packed), str(tmp_path / "o.pgm")],
+        capture_output=True, text=True, env=env, cwd=tmp_path)
+    lines = result.stderr.splitlines()
+    assert result.returncode == cli.EXIT_IO, result.stderr
+    assert len(lines) == 1 and lines[0].startswith("error: out-of-memory: "), lines
+    assert not (tmp_path / "o.pgm").exists()
 
 
 def test_python_m_hjpeg(tmp_path):

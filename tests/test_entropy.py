@@ -773,3 +773,57 @@ class TestCodebookRules:
             outcome = rows, lengths, len(data)
         data = pack_codebook(rows, lengths, g)
         assert outcome == codebook_outcome(deserialize_codebook_reference, data, g)
+
+
+@st.composite
+def deep_books(draw):
+    """Sorted code lengths up to 64 whose Kraft sum is 1, 1 + 2**-64 or 1 - 2**-64:
+    a complete code grown by splitting codes, the deepest or a drawn one, then
+    one 64-bit code added or taken away."""
+    lengths = [1, 1]
+    for pick in draw(st.lists(st.one_of(st.none(), st.integers(0, 1000)), max_size=90)):
+        i = lengths.index(max(lengths)) if pick is None else pick % len(lengths)
+        if lengths[i] < 64:
+            lengths[i : i + 1] = [lengths[i] + 1] * 2
+    change = draw(st.sampled_from([0, 1, -1]))  # in units of 2**-64
+    while change < 0 and max(lengths) < 64:
+        i = lengths.index(max(lengths))
+        lengths[i : i + 1] = [lengths[i] + 1] * 2
+    if change > 0:
+        lengths.append(64)
+    elif change < 0:
+        lengths.remove(64)
+    return sorted(lengths)
+
+
+class TestKraftSum:
+    @settings(max_examples=200, deadline=None)
+    @given(deep_books())
+    def test_deep_books_match_exact_sum(self, lengths):
+        exact = kraft_sum_exact(lengths)
+        rows = np.arange(len(lengths), dtype=np.int64).reshape(-1, 1)
+        try:
+            book = entropy.CodeBook(rows, np.array(lengths, np.int64))
+        except entropy.KraftViolationError as exc:
+            outcome = str(exc)
+        else:
+            assert book.kraft_sum == exact
+            outcome = "complete"
+        if exact > 1:
+            assert outcome == f"Kraft sum {exact} > 1"
+        elif exact < 1 and len(lengths) >= 2:
+            assert outcome == f"Kraft sum {exact} != 1"
+        else:
+            assert outcome == "complete"
+
+    def test_one_part_in_two_to_the_64(self):
+        complete = list(range(1, 64)) + [64, 64]
+        assert kraft_sum_exact(complete) == 1
+        assert entropy.CodeBook(np.arange(65).reshape(-1, 1),
+                                np.array(complete)).kraft_sum == 1
+        for lengths, relation in ((complete + [64], ">"), (complete[:-1], "!=")):
+            exact = kraft_sum_exact(lengths)
+            assert abs(exact - 1) == Fraction(1, 1 << 64)
+            with pytest.raises(entropy.KraftViolationError,
+                               match=re.escape(f"Kraft sum {exact} {relation} 1")):
+                entropy.CodeBook(np.arange(len(lengths)).reshape(-1, 1), np.array(lengths))

@@ -14,7 +14,7 @@ from hjpeg.image import (
     read_pgm,
     write_pgm,
 )
-from oracles import read_pgm_reference
+from oracles import pad_to_blocks_reference, read_pgm_reference
 
 
 def _gap(min_size):
@@ -191,3 +191,9 @@ class TestPadToBlocks:
         padded = pad_to_blocks(img)
         assert padded.width % 8 == 0 and padded.height % 8 == 0
         assert np.array_equal(padded.pixels[:height, :width], img.pixels)
+
+    @settings(max_examples=200)
+    @given(width=st.integers(1, 40), height=st.integers(1, 40), seed=st.integers(0, 3))
+    def test_matches_edge_pad_reference(self, width, height, seed):
+        img = generate_test_image("noise", width, height, seed)
+        assert pad_to_blocks(img) == pad_to_blocks_reference(img)

@@ -48,6 +48,22 @@ class TestQuantize:
         levels = quantize.quantize(coeffs, q)
         assert levels[0, 0] == -1 and levels[0, 1] == 1
 
+    @settings(max_examples=100)
+    @given(
+        steps=st.lists(st.integers(1, 255), min_size=64, max_size=64),
+        ratios=st.lists(
+            st.one_of(st.integers(-4000, 4000).map(lambda k: k / 2),  # half-step ties
+                      st.sampled_from([0.0, -0.0]),
+                      st.floats(-2000.0, 2000.0)),
+            min_size=64, max_size=64),
+    )
+    def test_ties_and_signed_zeros_match_oracle(self, steps, ratios):
+        q = np.array(steps, np.int64).reshape(8, 8)
+        coeffs = np.array(ratios).reshape(8, 8) * q  # exact for the ties and zeros
+        levels = quantize.quantize(coeffs, q)
+        assert levels.dtype == np.int16
+        assert levels.tolist() == quantize_oracle(coeffs.tolist(), q.tolist())
+
     def test_dequantize_product(self):
         q = quantize.DEFAULT_QUANT_TABLE
         levels = np.zeros((8, 8), dtype=np.int16)
