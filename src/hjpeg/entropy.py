@@ -15,14 +15,8 @@ id is its code's index; CodeBook.codes derives the 64-bit left-justified codes
 from the lengths. Every codebook rule lives in the CodeBook constructor, which
 refuses anything but a complete canonical code over distinct int16 rows, so
 serialize_codebook can write only books that deserialize_codebook accepts.
-The encoder ORs the shifted codes into 64-bit words. The decoder matches the
-code at every bit position of the payload once, by JPEG's lookahead (T.81,
-F.2.2.3): the next K bits index a 2**K table of the length and id of the code
-they start with, K being the longest code length but at most 16, and only a
-book with longer codes matches the positions the table leaves empty by
-searchsorted over the first code of each length. It tables both where each
-code ends and which code it is, then walks that table 16 symbols per step
-with a table composed from it by pointer jumping.
+The encoder ORs the shifted codes into 64-bit words; decode's docstring says how
+the decoder matches and walks them.
 """
 
 from __future__ import annotations
@@ -235,15 +229,16 @@ def encode(ids, book: CodeBook) -> tuple[bytes, int]:
     """Concatenate MSB-first codes of symbol ids; returns (payload, bit length).
 
     Each left-justified code is shifted to its bit offset within a 64-bit
-    word and OR-reduced with the codes sharing that word; a code crossing
-    into the next word ORs its low bits there. Blocks of _BLOCK symbols.
+    word and OR-reduced with the codes sharing that word; the bits each code
+    runs past its word are OR-reduced the same way into the next word. Blocks
+    of _BLOCK symbols.
     """
     ids = np.asarray(ids, dtype=np.intp)
     if ids.size and (ids.min() < 0 or ids.max() >= len(book.rows)):
         raise UnknownSymbolError("symbol id not in codebook")
     codes, lengths = book.codes, book.code_lengths.astype(np.int64)
     total = int(lengths[ids].sum())
-    words = np.zeros(total // 64 + 1, np.uint64)
+    words = np.zeros(total // 64 + 2, np.uint64)  # a spare word: it takes only 0 spills
     end = 0
     for s0 in range(0, ids.size, _BLOCK):
         block = ids[s0 : s0 + _BLOCK]
@@ -258,8 +253,10 @@ def encode(ids, book: CodeBook) -> tuple[bytes, int]:
         first, last = int(word[0]), int(word[-1])
         heads = word.searchsorted(np.arange(first, last + 1))  # first code in each word
         words[first : last + 1] |= np.bitwise_or.reduceat(code >> shift, heads)
-        cross = (ends - 1) >> 6 != word  # so shift >= 1, as no code exceeds 64 bits
-        words[word[cross] + 1] |= code[cross] << (np.uint64(64) - shift[cross])
+        # code << (64 - shift), which is 0 for a code that ends in its own word,
+        # in two shifts, so that none reaches 64, which C leaves undefined
+        spill = code << (63 - shift) << 1
+        words[first + 1 : last + 2] |= np.bitwise_or.reduceat(spill, heads)
     return words.astype(">u8").tobytes()[: (total + 7) // 8], total
 
 
@@ -271,18 +268,19 @@ def decode(data: bytes, book: CodeBook, symbol_count: int, bit_length: int) -> n
     raise BitExhaustionError. Byte-boundary padding past bit_length is ignored.
 
     The work is done over bit positions rather than symbols. The code that
-    starts at each position is matched once, in blocks, by JPEG's lookahead
-    (ITU-T T.81, F.2.2.3): the K bits at the position index a 2**K table of
-    the length and id of the code they start with, K being the longest code
-    length but at most 16. Where the table holds length 0, a book with codes
-    longer than K matches the position's 64-bit window with searchsorted
-    against the first code of each longer length. succ[p] is the position
-    after the code that starts at bit p, or p itself where no whole code
-    does, and id_at[p] is that code's id. succ composed 16 times, by four
-    squarings, jumps 16 symbols, so a Python loop visits one symbol start in
-    16 and 15 gathers on succ fill in the rest; the ids are gathered from
-    id_at at those starts. These are the positions a one-symbol-at-a-time
-    decoder would reach, so the errors are the same too.
+    starts at each position is matched once, in blocks, into match[p], the
+    entry id << 7 | length of the code that starts at bit p, or 0 where no
+    whole code does (7 bits hold any length up to 64). Matching is JPEG's
+    lookahead (ITU-T T.81, F.2.2.3): the K bits at the position index a 2**K
+    table of entries, K being the longest code length but at most 16. Where
+    the table holds 0, a book with codes longer than K matches the position's
+    64-bit window with searchsorted against the first code of each longer
+    length. succ[p] = p + (match[p] & 127) is the position after that code,
+    or p itself where none starts. succ composed 16 times, by four squarings,
+    jumps 16 symbols, so a Python loop visits one symbol start in 16 and 15
+    gathers on succ fill in the rest; the ids are match >> 7 at those starts.
+    These are the positions a one-symbol-at-a-time decoder would reach, so
+    the errors are the same too.
     """
     end = min(bit_length, 8 * len(data))
     if symbol_count > end:  # every code is at least one bit
@@ -290,39 +288,32 @@ def decode(data: bytes, book: CodeBook, symbol_count: int, bit_length: int) -> n
     lengths = book.code_lengths
     longest = int(lengths[-1])  # lengths ascend in canonical order
     k = min(longest, _LOOKAHEAD)
-    id_type = np.min_scalar_type(len(book.rows) - 1)
-    # the canonical codes of at most k bits, padded to k bits, are 0..size - 1
+    # the canonical codes of at most k bits, padded to k bits, are 0..span.sum() - 1
     # in id order: code i covers 2**(k - lengths[i]) entries; the rest stay 0
     short = lengths[lengths <= k].astype(np.int64)
     span = 1 << (k - short)
-    size = int(span.sum())
-    table_len = np.zeros(1 << k, np.uint8)
-    table_id = np.zeros(1 << k, id_type)
-    table_len[:size] = short.repeat(span)
-    table_id[:size] = np.arange(len(short), dtype=id_type).repeat(span)
+    table = np.zeros(1 << k, np.min_scalar_type((len(book.rows) - 1) << 7 | 64))
+    table[: span.sum()] = (np.arange(short.size) << 7 | short).repeat(span)
 
     n_bytes = end // 8 + 1  # byte offsets of the positions 0..end
     buf = np.frombuffer(data[: n_bytes + 8].ljust(n_bytes + 8, b"\0"), np.uint8)
-    # quads[b] and words[b] are the big-endian u32 and u64 at byte b; the k
-    # bits at position 8b + j are quads[b] >> (32 - k - j), masked to k bits,
-    # as j + k <= 23, and a 64-bit window starting mid-byte takes its low bits
-    # from buf[b + 8]
-    quads = np.ndarray((n_bytes,), ">u4", buf, strides=(1,))
+    # words[b] is the big-endian u64 at byte b; the k bits at position 8b + j
+    # are words[b] >> (64 - k - j), masked to k bits, as k + j <= 23, and a
+    # 64-bit window starting mid-byte takes its low bits from buf[b + 8]
     words = np.ndarray((n_bytes,), ">u8", buf, strides=(1,))
-    succ = np.empty(8 * n_bytes, np.intp)
-    id_at = np.empty(succ.size, id_type)
-    blocks = [slice(p, min(p + _BLOCK, succ.size)) for p in range(0, succ.size, _BLOCK)]
-    drop = 32 - k - np.arange(8)
+    match = np.empty(8 * n_bytes, table.dtype)
+    succ = np.empty(match.size, np.intp)
+    blocks = [slice(p, min(p + _BLOCK, match.size)) for p in range(0, match.size, _BLOCK)]
+    drop = 64 - k - np.arange(8)
     for block in blocks:
-        quad = quads[block.start >> 3 : block.stop >> 3, None].astype(np.intp)
-        prefix = ((quad >> drop) & ((1 << k) - 1)).reshape(-1)
-        code_len = table_len.take(prefix)
-        table_id.take(prefix, out=id_at[block])  # read only where a whole code starts
-        np.add(np.arange(block.start, block.stop), code_len, out=succ[block])
+        # as intp, a word's top bit is a sign, copied by >> into bits the mask clears
+        word = words[block.start >> 3 : block.stop >> 3, None].astype(np.intp)
+        table.take(((word >> drop) & ((1 << k) - 1)).reshape(-1), out=match[block])
         if longest > k:
-            pos = np.flatnonzero(code_len == 0) + block.start
-            code_len, id_at[pos] = _match_long(book, words, buf, pos)
-            succ[pos] += code_len
+            pos = np.flatnonzero(match[block] == 0) + block.start
+            match[pos] = _match_long(book, words, buf, pos)
+        np.add(np.arange(block.start, block.stop), match[block] & 127, out=succ[block],
+               dtype=np.intp)  # intp, as a uint64 entry would make the sum float64
     # a code running past end matches nothing; only the last longest positions
     # (and those past end) can hold one
     tail = succ[max(end + 1 - longest, 0) :]
@@ -350,17 +341,18 @@ def decode(data: bytes, book: CodeBook, symbol_count: int, bit_length: int) -> n
         if (stops == starts).any():
             raise BitExhaustionError("no code matches the remaining bits")
         stop = stops[-1]
-        out[s0 : s0 + starts.size] = id_at[starts]
+        out[s0 : s0 + starts.size] = match[starts] >> 7
     if stop != bit_length:
         raise DanglingBitsError(f"decoded {stop} bits but payload declares {bit_length}")
     return out
 
 
 def _match_long(book: CodeBook, words: np.ndarray, buf: np.ndarray,
-                pos: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(length, id) of the code that starts at each bit position pos, 0 where no
-    code does, matched by searchsorted of the 64-bit window at the position
-    against the first code of each code length (words and buf as in decode)."""
+                pos: np.ndarray) -> np.ndarray:
+    """The entry id << 7 | length of the code that starts at each bit position
+    pos, 0 where no code does, matched by searchsorted of the 64-bit window at
+    the position against the first code of each code length (words and buf as
+    in decode)."""
     # one entry per code length, ascending: the length, its first code, and
     # its ids, which run from group_index up to (not including) group_end
     group_len, group_index, group_count = book.length_groups
@@ -375,7 +367,8 @@ def _match_long(book: CodeBook, words: np.ndarray, buf: np.ndarray,
     w = (words[byte].astype(np.uint64) << bit) | (buf[byte + 8] >> (np.uint64(8) - bit))
     g = np.searchsorted(group_first[1:], w, "right")  # group_first[0] is 0
     ids = (w >> shift[g]) + base[g]
-    return np.where(ids < group_end[g], group_len[g], 0), ids
+    entry = ids << 7 | group_len.astype(np.uint64)[g]
+    return np.where(ids < group_end[g], entry, np.uint64(0))
 
 
 def _entry_dtype(g: int) -> np.dtype:

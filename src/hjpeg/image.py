@@ -76,6 +76,8 @@ def read_pgm(data: bytes) -> Image:
     between whitespace and comments. A comment runs from "#" to the end of its line
     and starts only where a field could start; a "#" inside a field is part of it,
     so the digit check refuses it. Exactly one whitespace byte follows maxval.
+    Each sample s is scaled to 0..255 as (s * 255 + maxval // 2) // maxval,
+    rounded to nearest, which leaves samples of a maxval-255 file as they are.
     """
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
@@ -110,7 +112,8 @@ def read_pgm(data: bytes) -> Image:
         samples = np.array([_decimal(v, "sample") for v in values[:count]], np.int64)
     if samples.max() > maxval:
         raise PgmError(f"sample value above maxval {maxval}")
-    return Image(samples.reshape(height, width))
+    samples = (samples.astype(np.uint16) * 255 + maxval // 2) // maxval  # < 2**16
+    return Image(samples.astype(np.uint8).reshape(height, width))
 
 
 def write_pgm(img: Image) -> bytes:

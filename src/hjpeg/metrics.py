@@ -21,7 +21,8 @@ def empirical_entropy(counts) -> float:
     if not counts:
         raise ValueError("empty frequency table")
     total = sum(counts)
-    return -sum((c / total) * math.log2(c / total) for c in counts)
+    # 0.0 - x is -x exactly, except that one symbol's 0.0 gives 0.0, not -0.0
+    return 0.0 - sum((c / total) * math.log2(c / total) for c in counts)
 
 
 def compression_ratio(original_bits: int, compressed_bits: int) -> float:

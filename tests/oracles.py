@@ -340,8 +340,9 @@ def _tokenize_header(data: bytes, count: int) -> tuple[list[int], int]:
 
 
 def read_pgm_reference(data: bytes) -> Image:
-    """image.read_pgm as a byte-at-a-time header scanner: the same Image, or the
-    same exception class and message."""
+    """image.read_pgm as a byte-at-a-time header scanner that scales each sample
+    to 0..255 one at a time: the same Image, or the same exception class and
+    message."""
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
         raise PgmMagicError(f"bad PGM magic {magic!r}")
@@ -368,4 +369,5 @@ def read_pgm_reference(data: bytes) -> Image:
         samples = np.array([_decimal(v, "sample") for v in values[:count]], np.int64)
     if samples.max() > maxval:
         raise PgmError(f"sample value above maxval {maxval}")
-    return Image(samples.reshape(height, width))
+    samples = [(int(s) * 255 + maxval // 2) // maxval for s in samples]
+    return Image(np.array(samples, np.uint8).reshape(height, width))

@@ -34,6 +34,14 @@ class TestCompressCommand:
         assert lines[0].startswith("image,")
         assert ",reduced,4," in lines[1]
 
+    def test_flat_image_row(self, tmp_path, capsys):
+        # 128 levels to all-zero coefficients, one symbol: entropy 0, not -0
+        src = tmp_path / "flat.pgm"
+        src.write_bytes(b"P5 1 1 255 " + bytes([128]))
+        assert cli.main(["compress", str(src), str(tmp_path / "out.hjpg")]) == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert row[4] == "0.000000"
+
     def test_group_size_one_rejected(self, tmp_path, capsys):
         src = write_image(tmp_path / "in.pgm")
         rc = cli.main(
@@ -116,6 +124,23 @@ class TestDecompressCommand:
         assert cli.main(["decompress", str(packed), str(restored)]) == 0
         img = read_pgm(restored.read_bytes())
         assert (img.width, img.height) == (37, 21)
+
+    @pytest.mark.parametrize("data, samples", [
+        pytest.param(b"P2 2 1 15  15 0", [255, 0], id="p2-maxval-15"),
+        pytest.param(b"P5 3 1 1 " + bytes([1, 0, 1]), [255, 0, 255], id="p5-maxval-1"),
+    ])
+    def test_maxval_below_255_round_trip(self, tmp_path, data, samples):
+        # the samples are scaled to 0..255, so the file comes back as the
+        # maxval-255 file of the scaled samples does
+        full = b"P5 %d 1 255 " % len(samples) + bytes(samples)
+        restored = []
+        for i, pgm in enumerate([data, full]):
+            src, packed, back = (tmp_path / f"{i}.{ext}" for ext in ("pgm", "hjpg", "out"))
+            src.write_bytes(pgm)
+            assert cli.main(["compress", str(src), str(packed)]) == 0
+            assert cli.main(["decompress", str(packed), str(back)]) == 0
+            restored.append(back.read_bytes())
+        assert restored[0] == restored[1]
 
     def test_corrupt_magic(self, tmp_path, capsys):
         src = write_image(tmp_path / "in.pgm")

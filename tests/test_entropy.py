@@ -475,6 +475,24 @@ class TestEncodeDecode:
             assert decode_outcome(entropy.decode, *args) == decode_outcome(decode_reference, *args)
         assert entropy.decode(payload, book, len(ids), nbits).tolist() == ids.tolist()
 
+    @pytest.mark.parametrize("size", [512, 513])
+    def test_matches_reference_decoder_at_the_entry_width_step(self, size):
+        # a match entry is id << 7 | length: 511 << 7 | 24 fits 16 bits, and
+        # 512 << 7 needs 32. Codes of up to 24 bits make searchsorted write some
+        book = book_over(fibonacci(18) + [fibonacci(18)[-1]] * (size - 18))
+        assert len(book.rows) == size and longest(book) == 24
+        ids = np.random.default_rng(size).integers(0, size, 6000)
+        payload, nbits = entropy.encode(ids, book)
+        flipped = bytearray(payload)
+        flipped[len(payload) // 3] ^= 0x04
+        for args in [
+            (payload, book, len(ids), nbits),
+            (payload[:-1], book, len(ids), nbits),
+            (bytes(flipped), book, len(ids), nbits),
+        ]:
+            assert decode_outcome(entropy.decode, *args) == decode_outcome(decode_reference, *args)
+        assert entropy.decode(payload, book, len(ids), nbits).tolist() == ids.tolist()
+
     @pytest.mark.parametrize("n", [17, 19], ids=["longest-16", "longest-18"])
     def test_last_code_within_the_table_width_of_the_end(self, n):
         # the table is 16 bits wide; at 18 bits, the longer codes go through
@@ -525,6 +543,17 @@ class TestEncodeDecode:
         deep = int(np.argmax(book.code_lengths))
         for k in range(130):
             ids = [short] * k + [deep, short, deep]
+            assert entropy.encode(ids, book) == encode_reference(ids, book)
+
+    @pytest.mark.parametrize("length", [1, 2, 8, 16, 32, 63, 64])
+    def test_codes_on_word_boundaries(self, length):
+        # from shift 0, a run of codes of a length dividing 64 ends on each word
+        # boundary (shift + length == 64) and starts each word at shift 0; 63-bit
+        # codes start one bit earlier in each word. A 1-bit code first moves all
+        # by one bit
+        book = fibonacci_book(65)
+        code = int(np.flatnonzero(book.code_lengths == length)[0])
+        for ids in ([code] * 130, [0] + [code] * 130):
             assert entropy.encode(ids, book) == encode_reference(ids, book)
 
     def test_64_bit_codes_round_trip(self):

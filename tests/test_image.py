@@ -54,6 +54,15 @@ class TestReadPgm:
         img = read_pgm(b"P2 1 1 255 42")
         assert img == make_image(1, 1, [42])
 
+    @pytest.mark.parametrize("data, samples", [
+        pytest.param(b"P2 4 1 15  15 0 7 8", [255, 0, 119, 136], id="p2-maxval-15"),
+        pytest.param(b"P5 2 1 1 " + bytes([1, 0]), [255, 0], id="p5-maxval-1"),
+        pytest.param(b"P5 3 1 2 " + bytes([0, 1, 2]), [0, 128, 255], id="p5-maxval-2"),
+    ])
+    def test_samples_scaled_to_255(self, data, samples):
+        # (s * 255 + maxval // 2) // maxval: 7 * 17 = 119, and 127.5 rounds up
+        assert read_pgm(data) == make_image(len(samples), 1, samples)
+
     def test_header_comments_and_whitespace(self):
         data = b"P5\n# a comment\n 2 # inline\n1\n255\n" + bytes([9, 10])
         img = read_pgm(data)
@@ -111,13 +120,14 @@ class TestReadPgm:
     @given(
         magic=st.sampled_from([b"P5", b"P2", b"P6", b""]),
         header=st.tuples(_gap(0), _field(b"1", b"2"), _gap(1), _field(b"1", b"02"),
-                         _gap(1), _field(b"255"), _gap(1)).map(b"".join),
+                         _gap(1), _field(b"255", b"15", b"1"), _gap(1)).map(b"".join),
         tail=st.binary(max_size=8),
     )
     @example(magic=b"P5", header=b"# c\n2\x0b1\r255\x0c", tail=bytes([7, 8]))
     @example(magic=b"P2", header=b"\t2 1\n# c\n255\r", tail=b"\n7 8")
     @example(magic=b"P5", header=b"2\t1 255 ", tail=b"\x00\xff")
     @example(magic=b"P5", header=b" 1 1 255\n", tail=b"\n")
+    @example(magic=b"P2", header=b" 2 1 15 ", tail=b"15 7")
     def test_same_outcome_as_byte_scanner(self, magic, header, tail):
         def outcome(read):
             try:

@@ -23,6 +23,7 @@ class TestEmpiricalEntropy:
 
     def test_single_symbol_zero(self):
         assert metrics.empirical_entropy([10]) == 0.0
+        assert math.copysign(1, metrics.empirical_entropy([5])) == 1  # not -0.0
 
 
 class TestAverageCodeLength:
