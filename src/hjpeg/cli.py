@@ -103,7 +103,14 @@ def _load_corpus(corpus: str | None) -> list[tuple[str, Image]]:
         paths = sorted(p for p in Path(corpus).iterdir() if p.suffix == ".pgm")
         if not paths:
             raise ValueError(f"no .pgm files in {corpus}")
-        return [(p.name, read_pgm(p.read_bytes())) for p in paths]
+        images = []
+        for p in paths:
+            data = p.read_bytes()
+            try:
+                images.append((p.name, read_pgm(data)))
+            except PgmError as exc:  # same class, so the same error line and exit code
+                raise type(exc)(f"{p.name}: {exc}") from exc
+        return images
     return [
         (f"synthetic:{kind}", generate_test_image(kind, 256, 256, seed=1))
         for kind in SYNTHETIC_KINDS

@@ -6,7 +6,13 @@ being one symbol (g = 1 is the scalar mode). One np.lexsort of the rows'
 biased uint16 parts gives, for any g, the sorted alphabet, each row's index
 into it and the per-symbol counts. The Huffman code is built over the counts
 by two sorted queues, the leaves sorted once and the merged nodes in the order
-made, with ties to the smallest index; the payload concatenates the codes.
+made, with ties to the smallest index; every count must be at least 1. Past
+_ROUND_CUTOFF symbols, as the grouped alphabets of noisy images are, the merges
+run first in numpy rounds: a round pops every node below the key of the next
+merge, which the one-at-a-time loop would pop before any node the round makes,
+and pairs them in key order. The loop makes the last _ROUND_CUTOFF merges, and
+all of them for smaller alphabets, where a round's fixed cost is the larger.
+The payload concatenates the codes.
 
 build_codebook permutes the sorted alphabet once into canonical order, the
 order of JPEG's HUFFVAL (ITU-T T.81, C and B.2.4.2): by code length, then by
@@ -34,6 +40,7 @@ MAX_CODE_LENGTH = 64
 _BIAS = 0x8000  # maps an int16 part onto 0..0xFFFF, keeping its order
 _BLOCK = 1 << 14  # symbols, or bit positions, per block of the coder's work
 _LOOKAHEAD = 16  # bits of decode's widest lookahead table
+_ROUND_CUTOFF = 512  # unmerged Huffman nodes above which merges run in rounds
 
 
 class EntropyError(ValueError):
@@ -182,22 +189,35 @@ def huffman_code_lengths(counts) -> list[int]:
     """Per-index code lengths from the two-least-frequent merge, by van Leeuwen's
     two sorted queues (ICALP 1976): leaves sorted once, merged nodes as made.
     Ties between equal counts go to the node holding the smallest index, so the
-    result is deterministic. A single-symbol alphabet gets length 1."""
-    counts = np.asarray(counts).tolist()  # Python ints, so no key can wrap
+    result is deterministic. A single-symbol alphabet gets length 1. Every count
+    must be at least 1, which the rounds below rely on; a count below 1 is refused.
+
+    Above _ROUND_CUTOFF symbols, the merges run first in rounds of many at once
+    (_merge_rounds), until _ROUND_CUTOFF unmerged nodes remain; the loop below
+    then makes the rest, one per step. Below the cutoff a round's fixed numpy cost
+    exceeds the loop's cost per symbol, so only the loop runs."""
+    counts = np.asarray(counts)
     n = len(counts)
     if not n:
         raise EntropyError("empty frequency table")
+    if counts.min() < 1:
+        raise EntropyError("symbol count below 1")
     if n == 1:
         return [1]
     # key = count * n + the smallest leaf index below the node: one compare gives
     # the (count, index) order. Pops ascend, so merged counts never fall; if two
     # are equal, so are the four counts popped, and the later pair has the larger
     # least index. Merged keys ascend, so a pop compares only heads (inf: unmade).
-    leaves = sorted([c * n + i for i, c in enumerate(counts)]) + [math.inf]
-    merged = [math.inf] * (n - 1)  # merge k makes node n + k
-    parent = [0] * (2 * n - 1)
-    i = j = 0
-    for k in range(n - 1):
+    if n > _ROUND_CUTOFF:
+        leaves, merged, parent, j, m, edges = _merge_rounds(counts, n)
+    else:  # Python ints, so no key can wrap
+        leaves = sorted([c * n + i for i, c in enumerate(counts.tolist())])
+        merged = [math.inf] * (n - 1)  # merge k makes node n + k
+        parent = [0] * (2 * n - 1)
+        j = m = 0
+    leaves.append(math.inf)
+    i = 0
+    for k in range(m, n - 1):
         if leaves[i] < merged[j]:
             x, a, i = leaves[i], leaves[i] % n, i + 1  # leaf a is node a
         else:
@@ -208,10 +228,70 @@ def huffman_code_lengths(counts) -> list[int]:
             y, b, j = merged[j], n + j, j + 1
         parent[a] = parent[b] = n + k
         merged[k] = x + y - max(x % n, y % n)  # counts add, the smaller index stays
+    # every parent is numbered after its children; without rounds this pass also
+    # takes the leaves, as below _ROUND_CUTOFF it costs less than numpy's gathers
     depth = [0] * (2 * n - 1)
-    for v in range(2 * n - 3, -1, -1):  # every parent is numbered after its children
+    for v in range(2 * n - 3, n + m - 1 if m else -1, -1):
         depth[v] = depth[parent[v]] + 1
-    return depth[:n]
+    if not m:
+        return depth[:n]
+    # then the nodes of each round, latest first, as its parents come from later
+    # rounds or the loop, then every leaf: one gather each
+    deep = np.empty(2 * n - 1, np.intp)
+    deep[n + m :] = depth[n + m :]
+    for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
+        deep[n + lo : n + hi] = deep[parent[n + lo : n + hi]] + 1
+    return (deep[parent[:n]] + 1).tolist()
+
+
+def _merge_rounds(counts: np.ndarray, n: int) -> tuple[list, list, np.ndarray, int, int, list]:
+    """The first merges of huffman_code_lengths over n > _ROUND_CUTOFF counts, made
+    in rounds until at most _ROUND_CUTOFF nodes are unmerged. Returns the loop's
+    state: (leaves, merged, parent, j, m, edges): the unmerged leaves' keys in
+    order, merged[k] the key of node n + k for the unmerged ones j <= k < m (inf
+    past m), parent[v] the node made over v, j the merged queue's head, m the
+    merges made and edges the merge number at which each round starts, then m.
+
+    Let first be the key of the merge of the two smallest unmerged nodes. Every
+    node a round makes has a key of at least first, as merged keys ascend, so the
+    one-at-a-time loop pops each unmerged node below first before any of them,
+    pairing them in key order. A round makes those pairs at once; an odd one out
+    waits for the next round. Those nodes are the leaves below first, found by
+    one searchsorted, and every unmerged merged node, as first exceeds each
+    earlier merged key. Counts of at least 1 make both children of a merge
+    smaller than it, so the two smallest are below first and each round pairs
+    them. Keys are int64 while the largest key a merge can make, below
+    max(counts) * n**2 + n, fits; Python ints in object arrays past that."""
+    if (int(counts.max()) * n + 1) * n < 1 << 63:
+        keys = counts.astype(np.int64) * n + np.arange(n)
+    else:
+        keys = np.array([c * n + i for i, c in enumerate(counts.tolist())], object)
+    keys.sort()
+    merged = np.empty(n - 1, keys.dtype)
+    parent = np.empty(2 * n - 1, np.intp)
+    edges = [0]
+    i = j = m = 0
+    while n - i + m - j > _ROUND_CUTOFF:
+        x, y = sorted(keys[i : i + 2].tolist() + merged[j : min(j + 2, m)].tolist())[:2]
+        stop = keys.searchsorted(x + y - max(x % n, y % n))
+        pool = np.concatenate([keys[i:stop], merged[j:m]])
+        node = np.concatenate([(keys[i:stop] % n).astype(np.intp), np.arange(n + j, n + m)])
+        order = pool.argsort(kind="stable")  # a merge of two ascending runs
+        pool, node = pool[order], node[order]
+        r = len(pool) // 2
+        a, b = pool[0 : 2 * r : 2], pool[1 : 2 * r : 2]
+        merged[m : m + r] = a + b - np.maximum(a % n, b % n)
+        parent[node[: 2 * r]] = np.arange(n + m, n + m + r).repeat(2)
+        i, j, m = stop, m, m + r
+        if len(pool) % 2:  # the odd one out, the largest, stays unmerged
+            if node[-1] < n:
+                i -= 1
+            else:
+                j -= 1
+        edges.append(m)
+    queue = [math.inf] * (n - 1)
+    queue[j:m] = merged[j:m].tolist()
+    return keys[i:].tolist(), queue, parent, j, m, edges
 
 
 def build_codebook(rows: np.ndarray, counts) -> tuple[CodeBook, np.ndarray]:

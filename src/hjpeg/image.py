@@ -77,7 +77,9 @@ def read_pgm(data: bytes) -> Image:
     and starts only where a field could start; a "#" inside a field is part of it,
     so the digit check refuses it. Exactly one whitespace byte follows maxval.
     Each sample s is scaled to 0..255 as (s * 255 + maxval // 2) // maxval,
-    rounded to nearest, which leaves samples of a maxval-255 file as they are.
+    rounded to nearest, through one table of maxval + 1 levels (for P5, applied
+    by bytes.translate before the array is made), after the check that no sample
+    exceeds maxval; a maxval-255 file's samples stay as they are.
     """
     magic = data[:2]
     if magic not in (b"P2", b"P5"):
@@ -97,12 +99,17 @@ def read_pgm(data: bytes) -> Image:
         raise PgmMaxvalError(f"maxval {maxval} not in [1, 255]")
     count = width * height
     body = data[match.end() + 1 :]
+    # sample s becomes levels[s], which leaves every sample as it is at maxval 255
+    levels = ((np.arange(maxval + 1) * 255 + maxval // 2) // maxval).astype(np.uint8)
     if magic == b"P5":
         if len(body) < count:
             raise PgmTruncatedError(
                 f"expected {count} samples, found {len(body)}"
             )
-        samples = np.frombuffer(body[:count], dtype=np.uint8)
+        body = body[:count]
+        if np.frombuffer(body, dtype=np.uint8).max() > maxval:
+            raise PgmError(f"sample value above maxval {maxval}")
+        samples = np.frombuffer(body.translate(levels.tobytes().ljust(256, b"\0")), np.uint8)
     else:
         values = body.split()
         if len(values) < count:
@@ -110,10 +117,10 @@ def read_pgm(data: bytes) -> Image:
                 f"expected {count} samples, found {len(values)}"
             )
         samples = np.array([_decimal(v, "sample") for v in values[:count]], np.int64)
-    if samples.max() > maxval:
-        raise PgmError(f"sample value above maxval {maxval}")
-    samples = (samples.astype(np.uint16) * 255 + maxval // 2) // maxval  # < 2**16
-    return Image(samples.astype(np.uint8).reshape(height, width))
+        if samples.max() > maxval:
+            raise PgmError(f"sample value above maxval {maxval}")
+        samples = levels[samples]
+    return Image(samples.reshape(height, width))
 
 
 def write_pgm(img: Image) -> bytes:

@@ -366,6 +366,19 @@ class TestBenchCommand:
         assert len(lines) == 1 and lines[0].startswith("error: io:")
         assert captured.out == ""
 
+    def test_malformed_file_named(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_image(corpus / "a.pgm", "gradient", 16, 16)
+        (corpus / "b.pgm").write_bytes(b"P5 16 16 255\n" + bytes(10))
+        write_image(corpus / "c.pgm", "noise", 16, 16)
+        rc = cli.main(["bench", "--corpus", str(corpus)])
+        assert rc == cli.EXIT_FORMAT
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            "error: pgm-truncated: b.pgm: expected 256 samples, found 10"]
+        assert captured.out == ""
+
     def test_group_size_above_255_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(codec, "compress", None)
         monkeypatch.setattr(cli, "_load_corpus", None)

@@ -295,8 +295,23 @@ class TestHuffmanCodeLengths:
         np.random.default_rng(1).permutation(np.arange(1, 2001)).tolist(),
         fibonacci(60),
         [2**64 + c for c in np.random.default_rng(2).integers(0, 4, size=300).tolist()],
+        # past the round cutoff: object keys, a count * n that int64 would wrap,
+        # int64 keys up to just below 2**63, a count * n that fits int64 while
+        # the first round's sums pass 2**63, and alphabets at the cutoff itself
+        [2**64 + c for c in np.random.default_rng(3).integers(0, 4, size=2000).tolist()],
+        (2**62 - np.arange(1000) % 3).tolist(),
+        ((2**63 - 1000) // 1000**2 - np.arange(1000) % 3).tolist(),
+        (3 * 2**61 // 1000 - np.arange(1000) % 3).tolist(),
+        np.random.default_rng(4).integers(1, 10, size=entropy._ROUND_CUTOFF).tolist(),
+        np.random.default_rng(5).integers(1, 10, size=entropy._ROUND_CUTOFF + 1).tolist(),
+        [1] * 1000 + fibonacci(60),
+        # 1,000 leaves above the chain's total keep the rounds going while the
+        # chain merges, one pair a round, 59 deep
+        fibonacci(60) + [2**45] * 1000,
     ], ids=["n1", "n2", "equal-1024", "equal-1000", "distinct", "fibonacci-60",
-            "above-2**64"])
+            "above-2**64", "above-2**64-rounds", "near-2**62-rounds", "int64-bound-rounds",
+            "pair-sums-past-2**63-rounds", "at-cutoff", "past-cutoff",
+            "fibonacci-60-over-1000-ones", "fibonacci-60-under-1000-equal"])
     def test_fixed_vectors(self, counts):
         assert entropy.huffman_code_lengths(counts) == lengths_reference(counts)
 
@@ -304,6 +319,12 @@ class TestHuffmanCodeLengths:
         # count * n passes 2**63, where an int64 key would wrap
         counts = 2**62 - np.arange(100, dtype=np.int64) % 3
         assert entropy.huffman_code_lengths(counts) == lengths_reference(counts.tolist())
+
+    @pytest.mark.parametrize("counts", [[2, -1, 3], [0, 0, 0], [1] * 600 + [0]],
+                             ids=["negative", "zeros", "zero-past-cutoff"])
+    def test_count_below_one_refused(self, counts):
+        with pytest.raises(entropy.EntropyError, match="below 1"):
+            entropy.huffman_code_lengths(counts)
 
 
 def pack(bits):
