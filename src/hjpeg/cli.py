@@ -107,9 +107,12 @@ def _load_corpus(corpus: str | None) -> list[tuple[str, Image]]:
         for p in paths:
             data = p.read_bytes()
             try:
-                images.append((p.name, read_pgm(data)))
-            except PgmError as exc:  # same class, so the same error line and exit code
+                img = read_pgm(data)
+                container.padded_size(img.width, img.height)
+            except (PgmError, container.ImageTooLargeError) as exc:
+                # the same class, so the same error line and exit code, with the file
                 raise type(exc)(f"{p.name}: {exc}") from exc
+            images.append((p.name, img))
         return images
     return [
         (f"synthetic:{kind}", generate_test_image(kind, 256, 256, seed=1))

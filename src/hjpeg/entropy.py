@@ -195,7 +195,14 @@ def huffman_code_lengths(counts) -> list[int]:
     Above _ROUND_CUTOFF symbols, the merges run first in rounds of many at once
     (_merge_rounds), until _ROUND_CUTOFF unmerged nodes remain; the loop below
     then makes the rest, one per step. Below the cutoff a round's fixed numpy cost
-    exceeds the loop's cost per symbol, so only the loop runs."""
+    exceeds the loop's cost per symbol, so only the loop runs. The rounds hold keys
+    in int64. A node's count is at most sum(counts), so every key is below
+    (sum(counts) + 1) * n; a round pairs distinct nodes, whose counts add to at
+    most sum(counts), so every sum of two keys is below (sum(counts) + 2) * n.
+    Rounds run only where that bound is below 2**63, as it is for any container:
+    its symbols, and so sum(counts) and n, number fewer than 2**32. Past the bound
+    the loop alone makes every merge, in Python ints. max(counts) * n < 2**63 is
+    checked first, so that counts.sum() cannot wrap in int64."""
     counts = np.asarray(counts)
     n = len(counts)
     if not n:
@@ -208,7 +215,8 @@ def huffman_code_lengths(counts) -> list[int]:
     # the (count, index) order. Pops ascend, so merged counts never fall; if two
     # are equal, so are the four counts popped, and the later pair has the larger
     # least index. Merged keys ascend, so a pop compares only heads (inf: unmade).
-    if n > _ROUND_CUTOFF:
+    if n > _ROUND_CUTOFF and (int(counts.max()) * n < 1 << 63
+                              and (int(counts.sum()) + 2) * n < 1 << 63):
         leaves, merged, parent, j, m, edges = _merge_rounds(counts, n)
     else:  # Python ints, so no key can wrap
         leaves = sorted([c * n + i for i, c in enumerate(counts.tolist())])
@@ -260,14 +268,11 @@ def _merge_rounds(counts: np.ndarray, n: int) -> tuple[list, list, np.ndarray, i
     one searchsorted, and every unmerged merged node, as first exceeds each
     earlier merged key. Counts of at least 1 make both children of a merge
     smaller than it, so the two smallest are below first and each round pairs
-    them. Keys are int64 while the largest key a merge can make, below
-    max(counts) * n**2 + n, fits; Python ints in object arrays past that."""
-    if (int(counts.max()) * n + 1) * n < 1 << 63:
-        keys = counts.astype(np.int64) * n + np.arange(n)
-    else:
-        keys = np.array([c * n + i for i, c in enumerate(counts.tolist())], object)
+    them. Keys are int64: the caller runs rounds only where (sum(counts) + 2) * n,
+    above any key or sum of two keys a round makes, is below 2**63."""
+    keys = counts.astype(np.int64) * n + np.arange(n)
     keys.sort()
-    merged = np.empty(n - 1, keys.dtype)
+    merged = np.empty(n - 1, np.int64)
     parent = np.empty(2 * n - 1, np.intp)
     edges = [0]
     i = j = m = 0
@@ -360,7 +365,10 @@ def decode(data: bytes, book: CodeBook, symbol_count: int, bit_length: int) -> n
     jumps 16 symbols, so a Python loop visits one symbol start in 16 and 15
     gathers on succ fill in the rest; the ids are match >> 7 at those starts.
     These are the positions a one-symbol-at-a-time decoder would reach, so
-    the errors are the same too.
+    the errors are the same too. A position where no code matches, a dead end,
+    is its own successor under succ and so under jump: a walk that meets one
+    stays on it. So each block checks only its last start: the payload ran out
+    of bits iff that start is a dead end.
     """
     end = min(bit_length, 8 * len(data))
     if symbol_count > end:  # every code is at least one bit
@@ -417,10 +425,10 @@ def decode(data: bytes, book: CodeBook, symbol_count: int, bit_length: int) -> n
         for j in range(1, 16):
             starts[j] = succ[starts[j - 1]]
         starts = starts.T.reshape(-1)[: symbol_count - s0]
-        stops = succ[starts]
-        if (stops == starts).any():
+        last = starts.item(-1)
+        stop = succ.item(last)
+        if stop == last:
             raise BitExhaustionError("no code matches the remaining bits")
-        stop = stops[-1]
         out[s0 : s0 + starts.size] = match[starts] >> 7
     if stop != bit_length:
         raise DanglingBitsError(f"decoded {stop} bits but payload declares {bit_length}")

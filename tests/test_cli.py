@@ -379,6 +379,20 @@ class TestBenchCommand:
             "error: pgm-truncated: b.pgm: expected 256 samples, found 10"]
         assert captured.out == ""
 
+    def test_oversized_file_named(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        write_image(corpus / "a.pgm", "gradient", 16, 16)
+        side = container.MAX_DIMENSION + 1
+        (corpus / "b.pgm").write_bytes(b"P5 %d 1 255\n" % side + bytes(side))
+        rc = cli.main(["bench", "--corpus", str(corpus)])
+        assert rc == cli.EXIT_FORMAT
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"error: image-too-large: b.pgm: {side}x1 image: sides are limited to "
+            f"{container.MAX_DIMENSION} pixels"]
+        assert captured.out == ""
+
     def test_group_size_above_255_rejected(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(codec, "compress", None)
         monkeypatch.setattr(cli, "_load_corpus", None)

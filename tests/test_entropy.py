@@ -295,9 +295,11 @@ class TestHuffmanCodeLengths:
         np.random.default_rng(1).permutation(np.arange(1, 2001)).tolist(),
         fibonacci(60),
         [2**64 + c for c in np.random.default_rng(2).integers(0, 4, size=300).tolist()],
-        # past the round cutoff: object keys, a count * n that int64 would wrap,
-        # int64 keys up to just below 2**63, a count * n that fits int64 while
-        # the first round's sums pass 2**63, and alphabets at the cutoff itself
+        # past the round cutoff ("-rounds"), where rounds run only while
+        # (sum(counts) + 2) * n is below 2**63: counts past 2**64 and a count * n
+        # that int64 would wrap, both left to the loop; int64 rounds just inside
+        # the bound; a count * n that fits int64 while the sums pass 2**63, left
+        # to the loop; and alphabets at the cutoff itself
         [2**64 + c for c in np.random.default_rng(3).integers(0, 4, size=2000).tolist()],
         (2**62 - np.arange(1000) % 3).tolist(),
         ((2**63 - 1000) // 1000**2 - np.arange(1000) % 3).tolist(),
@@ -308,10 +310,22 @@ class TestHuffmanCodeLengths:
         # 1,000 leaves above the chain's total keep the rounds going while the
         # chain merges, one pair a round, 59 deep
         fibonacci(60) + [2**45] * 1000,
+        # at the bound: one count of 2**50 keeps int64 rounds, (sum(counts) + 2)
+        # * n being near 2**60; with no bound, keys of 2**55 * n wrap; checking
+        # the sum alone, 600 counts of 2**54 wrap an int64 counts.sum() to below
+        # the bound; and checking the max alone, 1,100 counts of 2**52 pair into
+        # keys past 2**63. Each of the last three sends a build without that
+        # check off its queues, and none makes such a build loop forever
+        [2**50] + [1] * 999,
+        [2**55] * 100 + [1 + i % 3 for i in range(600)],
+        [2**54] * 600 + [1] * 600,
+        [2**52] * 1100,
     ], ids=["n1", "n2", "equal-1024", "equal-1000", "distinct", "fibonacci-60",
             "above-2**64", "above-2**64-rounds", "near-2**62-rounds", "int64-bound-rounds",
             "pair-sums-past-2**63-rounds", "at-cutoff", "past-cutoff",
-            "fibonacci-60-over-1000-ones", "fibonacci-60-under-1000-equal"])
+            "fibonacci-60-over-1000-ones", "fibonacci-60-under-1000-equal",
+            "one-2**50-rounds", "keys-past-2**63-rounds", "sum-past-2**63-rounds",
+            "merged-keys-past-2**63-rounds"])
     def test_fixed_vectors(self, counts):
         assert entropy.huffman_code_lengths(counts) == lengths_reference(counts)
 
@@ -495,6 +509,22 @@ class TestEncodeDecode:
         ]:
             assert decode_outcome(entropy.decode, *args) == decode_outcome(decode_reference, *args)
         assert entropy.decode(payload, book, len(ids), nbits).tolist() == ids.tolist()
+
+    @pytest.mark.parametrize("valid, count", [
+        (32, 40),
+        (entropy._BLOCK, entropy._BLOCK + 20),
+        (49, 50),
+    ], ids=["walk-head", "block-start", "last-symbol"])
+    def test_dead_end_ends_the_walk(self, valid, count):
+        # valid whole codes, then a proper prefix of the longest codes: symbol
+        # number valid is the first dead end, before bit_length, so the decoder
+        # must find it from the last start of its block
+        book = fibonacci_book(20)
+        ids = np.random.default_rng(valid).integers(0, 20, valid)
+        bits = bits_of(*entropy.encode(ids, book)) + "1" * (longest(book) - 1)
+        args = (pack(bits), book, count, len(bits))
+        assert decode_outcome(decode_reference, *args) is entropy.BitExhaustionError
+        assert decode_outcome(entropy.decode, *args) is entropy.BitExhaustionError
 
     @pytest.mark.parametrize("size", [512, 513])
     def test_matches_reference_decoder_at_the_entry_width_step(self, size):
