@@ -1,5 +1,5 @@
-"""Command-line interface: compress, decompress, inspect, bench. `bench` makes the
-quantized levels of each image once and codes them under its four configs."""
+"""Command-line interface: compress, decompress, inspect, bench. `bench` rebuilds
+each image from its quantized levels once and codes the levels four ways."""
 
 from __future__ import annotations
 
@@ -25,7 +25,7 @@ SYNTHETIC_KINDS = ("gradient", "checker", "noise")
 
 
 class ParityError(ValueError):
-    """Scalar and reduced reconstructions disagree."""
+    """A container does not decode back to the levels it was coded from."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -40,31 +40,39 @@ def _error_class(exc: Exception) -> str:
     return re.sub(r"(?<!^)(?=[A-Z])", "-", name).lower()
 
 
-def _run(name: str, img: Image, file: container.CompressedFile,
-         counts: np.ndarray) -> tuple[bytes, Image, CompressionReport]:
-    """Serialize `file`, which codes `img` with `counts` per symbol as compress
-    returns them, decode the container back, and report on that one pass."""
-    data = container.serialize(file)
-    restored = codec.decompress(container.deserialize(data))
+def _run(name: str, img: Image,
+         cfgs: list[CodecConfig]) -> list[tuple[bytes, CompressionReport]]:
+    """The container and report of `img` under each of `cfgs`. The front end, its
+    inverse and the PSNR run once, as every config codes the same levels; each
+    container must decode back to exactly those levels."""
+    levels = codec.image_to_levels(img)
+    q = CodecConfig.quant_table
+    psnr_db = metrics.psnr(img, codec.levels_to_image(levels, img.width, img.height, q))
     original_bits = img.width * img.height * 8
-    report = CompressionReport(
-        image=name,
-        group_size=file.group_size,
-        dc_diff=file.dc_diff,
-        entropy_bits=metrics.empirical_entropy(counts),
-        l_avg=file.payload_bit_length / file.symbol_count,
-        payload_cr=metrics.compression_ratio(original_bits, file.payload_bit_length),
-        file_cr=metrics.compression_ratio(original_bits, len(data) * 8),
-        psnr_db=metrics.psnr(img, restored),
-    )
-    return data, restored, report
+    out = []
+    for cfg in cfgs:
+        file, counts = codec.compress_levels(levels, img.width, img.height, cfg)
+        data = container.serialize(file)
+        if not np.array_equal(codec.decode_levels(container.deserialize(data)), levels):
+            raise ParityError(f"{name}: {cfg} does not decode to its levels")
+        out.append((data, CompressionReport(
+            image=name,
+            group_size=file.group_size,
+            dc_diff=file.dc_diff,
+            entropy_bits=metrics.empirical_entropy(counts),
+            l_avg=file.payload_bit_length / file.symbol_count,
+            payload_cr=metrics.compression_ratio(original_bits, file.payload_bit_length),
+            file_cr=metrics.compression_ratio(original_bits, len(data) * 8),
+            psnr_db=psnr_db,
+        )))
+    return out
 
 
 def cmd_compress(args) -> int:
     cfg = CodecConfig("scalar" if args.entropy == "huffman" else "reduced",
                       args.group_size, args.dc_diff)
     img = read_pgm(Path(args.input).read_bytes())
-    data, _, report = _run(Path(args.input).name, img, *codec.compress(img, cfg))
+    [(data, report)] = _run(Path(args.input).name, img, [cfg])
     Path(args.output).write_bytes(data)
     print(CompressionReport.CSV_HEADER)
     print(report.csv_row())
@@ -121,23 +129,13 @@ def _load_corpus(corpus: str | None) -> list[tuple[str, Image]]:
 
 
 def bench_image(name: str, img: Image, group_size: int) -> list[CompressionReport]:
-    """Scalar then reduced report per DC setting, parity-checked; a reduced report
-    carries its payload_cr gain in percent over the scalar one. The front end runs
-    once: all four configs code the same levels."""
-    levels = codec.image_to_levels(img)
-
-    def run(mode: str, dc: bool) -> tuple[bytes, Image, CompressionReport]:
-        cfg = CodecConfig(mode, group_size, dc)
-        return _run(name, img, *codec.compress_levels(levels, img.width, img.height, cfg))
-
-    reports = []
-    for dc in (False, True):
-        _, scalar_img, scalar = run("scalar", dc)
-        _, reduced_img, reduced = run("reduced", dc)
-        if scalar_img != reduced_img:
-            raise ParityError(f"mode parity violated on {name} (dc_diff={dc})")
+    """Scalar then reduced report per DC setting; a reduced report carries its
+    payload_cr gain in percent over the scalar one."""
+    cfgs = [CodecConfig(mode, group_size, dc)
+            for dc in (False, True) for mode in ("scalar", "reduced")]
+    reports = [report for _, report in _run(name, img, cfgs)]
+    for scalar, reduced in zip(reports[::2], reports[1::2]):
         reduced.improvement_pct = 100.0 * (reduced.payload_cr / scalar.payload_cr - 1.0)
-        reports += [scalar, reduced]
     return reports
 
 

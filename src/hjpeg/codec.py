@@ -1,8 +1,9 @@
 """End-to-end compressor/decompressor for the block-DCT pipeline.
 
-compress is image_to_levels, the front end (padding, DCT, quantization, zigzag),
-then compress_levels, which codes the levels under one config, so a caller that
-codes an image several ways, as `hjpeg bench` does, runs the front end once.
+Both directions split at the quantized levels. compress is image_to_levels (padding,
+DCT, quantization, zigzag) then compress_levels, which codes the levels under one
+config; decompress is decode_levels, its exact inverse, then levels_to_image (inverse
+DCT, crop). So `hjpeg bench` runs the front end and its inverse once per image.
 """
 
 from __future__ import annotations
@@ -103,18 +104,28 @@ def compress(
     return compress_levels(image_to_levels(img), img.width, img.height, cfg or CodecConfig())
 
 
-def decompress(file: CompressedFile) -> Image:
+def decode_levels(file: CompressedFile) -> np.ndarray:
+    """The levels that compress_levels coded into `file`, DC differencing undone."""
     ids = entropy.decode(
         file.payload, file.codebook, file.symbol_count, file.payload_bit_length
     )
     seq = file.codebook.rows[ids].reshape(-1)[: file.padded_width * file.padded_height]
-    if file.dc_diff:
-        seq = quantize.dc_differential_decode(seq)
-    levels = quantize.inverse_zigzag(seq.reshape(-1, 64))
-    coeffs = quantize.dequantize(levels, file.quant_table)
+    return quantize.dc_differential_decode(seq) if file.dc_diff else seq
+
+
+def levels_to_image(levels: np.ndarray, width: int, height: int, q: np.ndarray) -> Image:
+    """Rebuild a `width` x `height` image from levels laid out as image_to_levels
+    makes them under table `q`: dequantize, inverse DCT, crop."""
+    coeffs = quantize.dequantize(quantize.inverse_zigzag(levels.reshape(-1, 64)), q)
     pixels = transform.level_unshift(transform.idct(coeffs))
-    full = _from_blocks(pixels, file.padded_height, file.padded_width)
-    return Image(full[: file.orig_height, : file.orig_width])
+    full = _from_blocks(pixels, (height + 7) // 8 * 8, (width + 7) // 8 * 8)
+    return Image(full[:height, :width])
+
+
+def decompress(file: CompressedFile) -> Image:
+    return levels_to_image(
+        decode_levels(file), file.orig_width, file.orig_height, file.quant_table
+    )
 
 
 def compress_bytes(img: Image, cfg: CodecConfig | None = None) -> bytes:

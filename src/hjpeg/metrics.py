@@ -16,13 +16,14 @@ def entropy_mode(group_size: int) -> str:
 
 
 def empirical_entropy(counts) -> float:
-    """First-order entropy in bits/symbol of a distribution given by its counts."""
+    """First-order entropy in bits/symbol of a distribution given by its counts. The
+    terms are summed with fsum, which rounds the same on every Python version."""
     counts = np.asarray(counts).tolist()
     if not counts:
         raise ValueError("empty frequency table")
     total = sum(counts)
     # 0.0 - x is -x exactly, except that one symbol's 0.0 gives 0.0, not -0.0
-    return 0.0 - sum((c / total) * math.log2(c / total) for c in counts)
+    return 0.0 - math.fsum((c / total) * math.log2(c / total) for c in counts)
 
 
 def compression_ratio(original_bits: int, compressed_bits: int) -> float:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hjpeg import cli, codec, container, entropy
+from hjpeg import cli, codec, container, entropy, metrics
 from hjpeg.codec import CodecConfig
 from hjpeg.image import generate_test_image, read_pgm, write_pgm
 from oracles import huge_payload
@@ -21,6 +21,19 @@ from oracles import huge_payload
 def write_image(path, kind="gradient", w=32, h=24, seed=0):
     path.write_bytes(write_pgm(generate_test_image(kind, w, h, seed)))
     return str(path)
+
+
+@pytest.fixture
+def flip_decoded_level(monkeypatch):
+    """Make every container decode to its levels with the first one off by one."""
+    decode_levels = codec.decode_levels
+
+    def flipped(file):
+        levels = decode_levels(file).copy()
+        levels[0] += 1
+        return levels
+
+    monkeypatch.setattr(codec, "decode_levels", flipped)
 
 
 class TestCompressCommand:
@@ -53,7 +66,7 @@ class TestCompressCommand:
 
     def test_group_size_above_255_rejected(self, tmp_path, capsys, monkeypatch):
         # the header holds the group size in one byte; refused before any coding
-        monkeypatch.setattr(codec, "compress", None)
+        monkeypatch.setattr(codec, "compress_levels", None)
         src = write_image(tmp_path / "in.pgm")
         out = tmp_path / "o.hjpg"
         rc = cli.main(["compress", src, str(out), "--group-size", "256"])
@@ -100,19 +113,29 @@ class TestCompressCommand:
     def test_payload_too_large(self, tmp_path, capsys, monkeypatch):
         # the payload bit length does not fit the container's u32 field, so the
         # stub's file cannot be made
-        compress = codec.compress
+        compress_levels = codec.compress_levels
 
-        def huge(img, cfg):
-            file, counts = compress(img, cfg)
+        def huge(levels, width, height, cfg):
+            file, counts = compress_levels(levels, width, height, cfg)
             return dataclasses.replace(file, payload=huge_payload(1 << 32),
                                        payload_bit_length=1 << 32), counts
 
-        monkeypatch.setattr(codec, "compress", huge)
+        monkeypatch.setattr(codec, "compress_levels", huge)
         src = write_image(tmp_path / "in.pgm")
         rc = cli.main(["compress", src, str(tmp_path / "o.hjpg")])
         assert rc == cli.EXIT_FORMAT
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: payload-too-large:")
+
+    def test_parity(self, tmp_path, capsys, flip_decoded_level):
+        src = write_image(tmp_path / "in.pgm")
+        out = tmp_path / "o.hjpg"
+        rc = cli.main(["compress", src, str(out)])
+        assert rc == cli.EXIT_INVARIANT
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: parity: in.pgm: ")
+        assert captured.out == "" and not out.exists()
 
 
 class TestDecompressCommand:
@@ -394,7 +417,7 @@ class TestBenchCommand:
         assert captured.out == ""
 
     def test_group_size_above_255_rejected(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(codec, "compress", None)
+        monkeypatch.setattr(codec, "compress_levels", None)
         monkeypatch.setattr(cli, "_load_corpus", None)
         out = tmp_path / "r.csv"
         rc = cli.main(["bench", "--out", str(out), "--group-size", "256"])
@@ -402,6 +425,15 @@ class TestBenchCommand:
         captured = capsys.readouterr()
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: usage:")
+        assert captured.out == "" and not out.exists()
+
+    def test_parity(self, tmp_path, capsys, flip_decoded_level):
+        out = tmp_path / "r.csv"
+        rc = cli.main(["bench", "--out", str(out)])
+        assert rc == cli.EXIT_INVARIANT
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: parity: synthetic:")
         assert captured.out == "" and not out.exists()
 
     def test_improvement_on_reduced_reports(self):
@@ -429,7 +461,8 @@ class TestBenchCommand:
 
 def test_one_symbol_pass_per_report_row(tmp_path, monkeypatch, capsys):
     # every CSV row is read from the compress that made its container, and the
-    # bench runs the front end once per image for its four rows
+    # bench runs the front end, its inverse and the PSNR once per image for its
+    # four rows
     calls = {}
 
     def count(module, name):
@@ -443,6 +476,8 @@ def test_one_symbol_pass_per_report_row(tmp_path, monkeypatch, capsys):
 
     count(codec, "image_to_levels")
     count(entropy, "group_symbols")
+    count(codec, "levels_to_image")
+    count(metrics, "psnr")
     corpus = tmp_path / "corpus"
     corpus.mkdir()
     for i, kind in enumerate(("gradient", "noise")):
@@ -450,12 +485,14 @@ def test_one_symbol_pass_per_report_row(tmp_path, monkeypatch, capsys):
     assert cli.main(["bench", "--corpus", str(corpus)]) == 0
     rows = capsys.readouterr().out.strip().splitlines()[1:]
     assert len(rows) == 8
-    assert calls == {"image_to_levels": 2, "group_symbols": 8}
+    assert calls == {"image_to_levels": 2, "group_symbols": 8, "levels_to_image": 2,
+                     "psnr": 2}
 
     calls.clear()
     src = str(corpus / "noise.pgm")
     assert cli.main(["compress", src, str(tmp_path / "o.hjpg")]) == 0
-    assert calls == {"image_to_levels": 1, "group_symbols": 1}
+    assert calls == {"image_to_levels": 1, "group_symbols": 1, "levels_to_image": 1,
+                     "psnr": 1}
 
 
 def test_out_of_memory_is_one_error_line(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -24,6 +25,16 @@ class TestEmpiricalEntropy:
     def test_single_symbol_zero(self):
         assert metrics.empirical_entropy([10]) == 0.0
         assert math.copysign(1, metrics.empirical_entropy([5])) == 1  # not -0.0
+
+    def test_terms_summed_with_fsum(self):
+        # under Python 3.11, plain sum() of these terms differs from fsum in the
+        # last bit; fsum rounds the same on every version
+        counts = np.random.default_rng(0).integers(1, 50, size=34)
+        total = int(counts.sum())
+        terms = [(c / total) * math.log2(c / total) for c in counts.tolist()]
+        if sys.version_info < (3, 12):
+            assert sum(terms) != math.fsum(terms)
+        assert metrics.empirical_entropy(counts) == 0.0 - math.fsum(terms)
 
 
 class TestAverageCodeLength:
